@@ -58,7 +58,6 @@ from .maps import (
     PinchingMap,
     PositiveUnitalMap,
     ScaledMap,
-    apply_map,
     sample_map,
     sample_map_family,
     verify_unital,

@@ -10,6 +10,7 @@ configurations produce byte-identical reports at any parallelism degree.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -86,19 +87,19 @@ class CampaignConfig:
         if not self.dims:
             raise ConfigError("dims: must be non-empty")
         for d in self.dims:
-            if not isinstance(d, int) or d < 1:
+            if not _is_int(d) or d < 1:
                 raise ConfigError(f"dims: entries must be integers >= 1, got {d!r}")
         if not self.mm_ranges:
             raise ConfigError("mm_ranges: must be non-empty")
         for r in self.mm_ranges:
-            if len(r) != 2 or not all(isinstance(x, (int, float)) for x in r) or r[0] >= r[1]:
+            if len(r) != 2 or not all(_is_real(x) for x in r) or r[0] >= r[1]:
                 raise ConfigError(f"mm_ranges: each range must be [lo, hi] with lo < hi, got {r!r}")
-        if not isinstance(self.instances_per_cell, int) or self.instances_per_cell < 1:
+        if not _is_int(self.instances_per_cell) or self.instances_per_cell < 1:
             raise ConfigError(
                 f"instances_per_cell: must be an integer >= 1, got {self.instances_per_cell!r}"
             )
-        if not isinstance(self.tol, (int, float)) or self.tol <= 0:
-            raise ConfigError(f"tol: must be > 0, got {self.tol!r}")
+        if not _is_real(self.tol) or self.tol <= 0:
+            raise ConfigError(f"tol: must be a finite number > 0, got {self.tol!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -111,6 +112,14 @@ class CampaignConfig:
             "tol": float(self.tol),
             "seed": int(self.seed),
         }
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _require_list(obj, key):

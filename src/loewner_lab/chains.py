@@ -2,21 +2,37 @@
 the positive-semidefinite verdict of every adjacent link, and hunt for
 counterexamples under relaxed hypotheses.
 
-Term compilation rule: every operator-valued sub-expression in the registry
-depends on exactly one operator argument, so each compiles to a single
-scalar function applied by functional calculus; sums across different
-operator arguments are then plain matrix sums.  No products of functions of
-two different (non-commuting) operators ever arise.
+Theorems are data.  Every operator-valued sub-expression depends on one
+operator argument, so each compiles to one scalar function applied by
+functional calculus, and a registry row lists its chain terms as a label
+plus a signed sum of atoms ``(coef, placement, fn, operand)``:
 
-Three scalar shapes recur:
+* placement: DIR f(X), IN P(f(X)) or OUT f(P(X)); over a map family IN is
+  sum_i P_i(f(X_i)) and OUT applies f to the bar sum Xbar = sum_i P_i(X_i).
+* fn: F, f itself; G, the geometric interpolant
+  g(t) = K^w(t) f(m)^((M-t)/(M-m)) f(M)^((t-m)/(M-m)), K = f((m+M)/2)^2 /
+  (f(m) f(M)), w the tent weight vanishing at m and M, between f and the
+  chord on [m, M] for log-convex f; H, the superquadratic penalty
+  h(t) = ((M-t) f(t-m) + (t-m) f(M-t)) / (M-m); ID, the operand itself; or
+  CONST, the named scalar f(m), f(M), f(0) or intercept, times I.
+* operand: A, B, C, D, B+C, the midpoint W = (A+D)/2, Mercer's (M+m)I-B,
+  or the shifts mI-A and D-MI, built over the raw operators or, for OUT,
+  over their images (so OUT on mI-A is mI - P(A)).
+* coef: a number or a scalar name (slope, intercept, gap); a leading "-"
+  subtracts.  The chord through (m, f(m)) and (M, f(M)) is written out as
+  slope * X + intercept * I.
 
-* the chord through (m, f(m)) and (M, f(M)), applied affinely;
-* the geometric interpolant g(t) = K^w(t) f(m)^(M-t)/(M-m) f(M)^(t-m)/(M-m)
-  with K = f((m+M)/2)^2 / (f(m) f(M)) and w(t) the tent weight vanishing at
-  m and M, which sits between f and the chord on [m, M] for log-convex f
-  (and on the other side outside [m, M]);
-* the superquadratic penalty h(t) = ((M-t) f(t-m) + (t-m) f(M-t)) / (M-m),
-  the amount by which the chord over-estimates a superquadratic f on [m, M].
+So ``T("P(g(B))+P(g(C))", (1, IN, G, "B"), (1, IN, G, "C"))`` is the term
+P(g(B)) + P(g(C)).  An item may be a group ``(coef, items)``.  The nesting
+is the floating-point grouping, fixed so that every report stays
+byte-identical: a sum folds left, and a group is summed first, then scaled
+or subtracted whole (SQ-MAP subtracts its outer corrections as one group,
+SQ-MAP-V2 folds them in one by one).  Within a build each operand is mapped
+once and each (placement, fn, operand) applied once, so no operator is
+decomposed twice.
+
+Baselines are derived: the first and last terms with every refinement atom
+removed (H, anything on a shift, and CONST f(0)), labelled by ``base``.
 
 Registry ids (case-insensitive):
 
@@ -26,56 +42,30 @@ Registry ids (case-insensitive):
     SQ-MAP     SQ-POW     SQ-MAP-V2  SQ-MAP-V3
     SQ-MULTI-A SQ-MULTI-B SQ-MERCER  SQ-QUAD    SQ-MID
 
-On the multi-map variants SQ-MULTI-B and SQ-MERCER the per-operator penalty
-is applied inside each map (sum_i Phi_i(h(B_i))).  Forming h from
-sum_i Phi_i(f(B_i)) instead looks tempting but mixes functions of two
-different operators (the product is not even Hermitian) and the resulting
-claim is false already for scalars: f(t) = t^2, (A,B,C,D) = (0, 1.5, 1.5, 3)
-with (m, M) = (1, 3) gives left side 6.75 against right side 6.
+On SQ-MULTI-B and SQ-MERCER the penalty is applied inside each map,
+sum_i Phi_i(h(B_i)).  Forming h from sum_i Phi_i(f(B_i)) instead mixes
+functions of two different operators (not even Hermitian) and the claim is
+false already for scalars: f(t) = t^2, (A,B,C,D) = (0, 1.5, 1.5, 3) with
+(m, M) = (1, 3) gives left side 6.75 against right side 6.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    HypothesisViolation,
-    ShapeMismatch,
-    UnknownRelaxation,
-    UnknownTheorem,
-)
-from .functions import (
-    CONVEX,
-    LOG_CONVEX,
-    SUPERQUADRATIC,
-    FunctionDescriptor,
-    Interval,
-    interpolation_constants,
-    tilde_t,
-)
-from .hermitian import (
-    DEFAULT_PSD_TOL,
-    EQUALITY_TOL,
-    HermitianMatrix,
-    apply_scalar_function,
-    loewner_leq,
-    spectral_bounds,
-)
-from .instances import (
-    MercerInstance,
-    MidpointInstance,
-    MultiQuadrupleInstance,
-    QuadrupleInstance,
-    SumRelation,
-    sample_mercer_family,
-    sample_midpoint,
-    sample_quadruple,
-    sample_quadruple_family,
-    validate_instance,
-)
+from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, ShapeMismatch,
+                     UnknownRelaxation, UnknownTheorem)
+from .functions import (CONVEX, LOG_CONVEX, SUPERQUADRATIC, FunctionDescriptor, Interval,
+                        interpolation_constants, tilde_t)
+from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_scalar_function,
+                        check_tolerance, loewner_leq, spectral_bounds)
+from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
+                        QuadrupleInstance, SumRelation, sample_mercer_family, sample_midpoint,
+                        sample_quadruple, sample_quadruple_family, validate_instance)
 from .maps import MapFamily, PositiveUnitalMap, sample_map
 from .seeding import spawn_rng
 
@@ -132,10 +122,6 @@ def superquadratic_penalty(f: FunctionDescriptor, m: float, M: float) -> Functio
     )
 
 
-def _affine(x: HermitianMatrix, slope: float, intercept: float) -> HermitianMatrix:
-    return slope * x + intercept * HermitianMatrix.identity(x.dim)
-
-
 # ---------------------------------------------------------------------------
 # Chain and report types
 # ---------------------------------------------------------------------------
@@ -167,10 +153,6 @@ class LinkReport:
     verdict: str
     equality: bool
     tolerance_used: float
-
-    @property
-    def holds(self) -> bool:
-        return self.min_eigenvalue >= -self.tolerance_used
 
 
 @dataclass(frozen=True)
@@ -265,30 +247,18 @@ def _check_sum_condition(inst: QuadrupleInstance, f: FunctionDescriptor,
     fm, fM = f(inst.m), f(inst.M)
     verdict = loewner_leq(inst.B + inst.C, inst.A + inst.D, tol)
     sum_leq, sum_geq = verdict.is_leq, verdict.is_geq
-    f_i = _f_leq(fm, fM, tol)
-    f_ii = _f_leq(fM, fm, tol)
-    if relaxed == "cond-i-f":
-        if not sum_leq:
-            raise HypothesisViolation("condition (i) sum clause", "B+C <= A+D fails")
-        return
-    if relaxed == "cond-i-sum":
-        if not f_i:
-            raise HypothesisViolation("condition (i) f clause", f"f(m)={fm} > f(M)={fM}")
-        return
-    if relaxed == "cond-ii-f":
-        if not sum_geq:
-            raise HypothesisViolation("condition (ii) sum clause", "A+D <= B+C fails")
-        return
-    if relaxed == "cond-ii-sum":
-        if not f_ii:
-            raise HypothesisViolation("condition (ii) f clause", f"f(M)={fM} > f(m)={fm}")
-        return
-    if (sum_leq and f_i) or (sum_geq and f_ii):
-        return
-    raise HypothesisViolation(
-        "neither condition (i) nor (ii)",
-        f"sum_leq={sum_leq}, sum_geq={sum_geq}, f(m)={fm}, f(M)={fM}",
-    )
+    f_i, f_ii = _f_leq(fm, fM, tol), _f_leq(fM, fm, tol)
+    kept = {  # relaxation -> the other clause of its condition, which must hold
+        "cond-i-f": (sum_leq, "condition (i) sum clause", "B+C <= A+D fails"),
+        "cond-i-sum": (f_i, "condition (i) f clause", f"f(m)={fm} > f(M)={fM}"),
+        "cond-ii-f": (sum_geq, "condition (ii) sum clause", "A+D <= B+C fails"),
+        "cond-ii-sum": (f_ii, "condition (ii) f clause", f"f(M)={fM} > f(m)={fm}"),
+    }
+    holds, condition, detail = kept.get(relaxed) or (
+        (sum_leq and f_i) or (sum_geq and f_ii), "neither condition (i) nor (ii)",
+        f"sum_leq={sum_leq}, sum_geq={sum_geq}, f(m)={fm}, f(M)={fM}")
+    if not holds:
+        raise HypothesisViolation(condition, detail)
 
 
 def _check_equal_sum(inst: QuadrupleInstance, tol: float, relaxed: str | None) -> None:
@@ -308,422 +278,162 @@ def _check_nonneg(matrices, tol: float, what: str) -> None:
             raise HypothesisViolation(f"0 <= {what}", f"lambda_min({name}) = {lo!r}")
 
 
-def _require_class(f: FunctionDescriptor, cls: str) -> None:
-    if cls not in f.classes:
-        raise HypothesisViolation("function class mismatch", f"{f.id} is not {cls}")
-
-
-def _require_power(f: FunctionDescriptor, predicate, description: str) -> None:
-    p = f.params.get("p")
-    if p is None or not predicate(p):
-        raise HypothesisViolation("function class mismatch", f"{f.id} is not {description}")
-
-
-def _single_map(maps, dim: int) -> PositiveUnitalMap:
-    if not isinstance(maps, PositiveUnitalMap):
-        raise ShapeMismatch("this theorem needs a single positive unital map")
-    if maps.input_dim != dim:
-        raise ShapeMismatch(f"map expects dim {maps.input_dim}, instance has dim {dim}")
-    return maps
+def _check_relaxation(spec: "TheoremSpec", relaxed: str | None) -> None:
+    """The one relaxation rule: a relaxation must be known and must name a
+    hypothesis the theorem has."""
+    if relaxed is None:
+        return
+    if relaxed not in RELAXATIONS:
+        raise UnknownRelaxation(f"unknown relaxation {relaxed!r}")
+    if relaxed not in spec.relaxations:
+        raise UnknownRelaxation(f"relaxation {relaxed!r} does not apply to {spec.id}")
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# The term table
 # ---------------------------------------------------------------------------
-# Each builder returns (labels, terms) for the full chain; the baseline
-# builders return the two-term envelope with every refinement stripped.
-
-
-def _lc_pieces(inst, f):
-    g = geometric_interpolant(f, inst.m, inst.M)
-    slope, intercept = chord_coefficients(f, inst.m, inst.M)
-    return g, slope, intercept
-
-
-def _build_lc_quad(inst: QuadrupleInstance, f, maps):
-    g, slope, intercept = _lc_pieces(inst, f)
-    fB = apply_scalar_function(inst.B, f)
-    fC = apply_scalar_function(inst.C, f)
-    gB = apply_scalar_function(inst.B, g)
-    gC = apply_scalar_function(inst.C, g)
-    chord = _affine(inst.B + inst.C, slope, 2.0 * intercept)
-    gA = apply_scalar_function(inst.A, g)
-    gD = apply_scalar_function(inst.D, g)
-    fA = apply_scalar_function(inst.A, f)
-    fD = apply_scalar_function(inst.D, f)
-    labels = ("f(B)+f(C)", "g(B)+g(C)", "chord(B+C)", "g(A)+g(D)", "f(A)+f(D)")
-    return labels, (fB + fC, gB + gC, chord, gA + gD, fA + fD)
-
-
-def _build_lc_mid(inst: MidpointInstance, f, maps):
-    g, slope, intercept = _lc_pieces(inst, f)
-    w = inst.midpoint()
-    fW = apply_scalar_function(w, f)
-    gW = apply_scalar_function(w, g)
-    chord = _affine(w, slope, intercept)
-    gAD = 0.5 * (apply_scalar_function(inst.A, g) + apply_scalar_function(inst.D, g))
-    fAD = 0.5 * (apply_scalar_function(inst.A, f) + apply_scalar_function(inst.D, f))
-    labels = ("f(W)", "g(W)", "chord(W)", "(g(A)+g(D))/2", "(f(A)+f(D))/2")
-    return labels, (fW, gW, chord, gAD, fAD)
-
-
-def _build_lc_map(inst: QuadrupleInstance, f, maps):
-    phi = _single_map(maps, inst.dim)
-    g, slope, intercept = _lc_pieces(inst, f)
-    pB, pC = phi.apply(inst.B), phi.apply(inst.C)
-    pA, pD = phi.apply(inst.A), phi.apply(inst.D)
-    t1 = phi.apply(apply_scalar_function(inst.B, f)) + phi.apply(apply_scalar_function(inst.C, f))
-    t2 = phi.apply(apply_scalar_function(inst.B, g)) + phi.apply(apply_scalar_function(inst.C, g))
-    t3 = _affine(pB + pC, slope, 2.0 * intercept)
-    t4 = apply_scalar_function(pA, g) + apply_scalar_function(pD, g)
-    t5 = apply_scalar_function(pA, f) + apply_scalar_function(pD, f)
-    labels = ("P(f(B))+P(f(C))", "P(g(B))+P(g(C))", "chord(P(B+C))",
-              "g(P(A))+g(P(D))", "f(P(A))+f(P(D))")
-    return labels, (t1, t2, t3, t4, t5)
-
-
-def _build_lc_map_v2(inst: QuadrupleInstance, f, maps):
-    phi = _single_map(maps, inst.dim)
-    g, slope, intercept = _lc_pieces(inst, f)
-    pB, pC = phi.apply(inst.B), phi.apply(inst.C)
-    t1 = apply_scalar_function(pB, f) + apply_scalar_function(pC, f)
-    t2 = apply_scalar_function(pB, g) + apply_scalar_function(pC, g)
-    t3 = _affine(pB + pC, slope, 2.0 * intercept)
-    t4 = phi.apply(apply_scalar_function(inst.A, g)) + phi.apply(apply_scalar_function(inst.D, g))
-    t5 = phi.apply(apply_scalar_function(inst.A, f)) + phi.apply(apply_scalar_function(inst.D, f))
-    labels = ("f(P(B))+f(P(C))", "g(P(B))+g(P(C))", "chord(P(B+C))",
-              "P(g(A))+P(g(D))", "P(f(A))+P(f(D))")
-    return labels, (t1, t2, t3, t4, t5)
-
-
-def _build_lc_map_v3(inst: QuadrupleInstance, f, maps):
-    phi = _single_map(maps, inst.dim)
-    g, slope, intercept = _lc_pieces(inst, f)
-    pB, pC = phi.apply(inst.B), phi.apply(inst.C)
-    pA, pD = phi.apply(inst.A), phi.apply(inst.D)
-    t1 = phi.apply(apply_scalar_function(inst.B, f)) + apply_scalar_function(pC, f)
-    t2 = phi.apply(apply_scalar_function(inst.B, g)) + apply_scalar_function(pC, g)
-    t3 = _affine(pB + pC, slope, 2.0 * intercept)
-    t4 = apply_scalar_function(pA, g) + phi.apply(apply_scalar_function(inst.D, g))
-    t5 = apply_scalar_function(pA, f) + phi.apply(apply_scalar_function(inst.D, f))
-    labels = ("P(f(B))+f(P(C))", "P(g(B))+g(P(C))", "chord(P(B+C))",
-              "g(P(A))+P(g(D))", "f(P(A))+P(f(D))")
-    return labels, (t1, t2, t3, t4, t5)
-
-
-def _family_sums(inst: MultiQuadrupleInstance):
-    fam = inst.family
-    bbar = fam.apply_sum([q.B for q in inst.quadruples])
-    cbar = fam.apply_sum([q.C for q in inst.quadruples])
-    abar = fam.apply_sum([q.A for q in inst.quadruples])
-    dbar = fam.apply_sum([q.D for q in inst.quadruples])
-    return fam, bbar, cbar, abar, dbar
-
-
-def _build_lc_multi(inst: MultiQuadrupleInstance, f, maps):
-    g, slope, intercept = _lc_pieces(inst, f)
-    fam, bbar, cbar, abar, dbar = _family_sums(inst)
-    sum_fB = fam.apply_sum([apply_scalar_function(q.B, f) for q in inst.quadruples])
-    sum_gB = fam.apply_sum([apply_scalar_function(q.B, g) for q in inst.quadruples])
-    sum_gD = fam.apply_sum([apply_scalar_function(q.D, g) for q in inst.quadruples])
-    sum_fD = fam.apply_sum([apply_scalar_function(q.D, f) for q in inst.quadruples])
-    t1 = sum_fB + apply_scalar_function(cbar, f)
-    t2 = sum_gB + apply_scalar_function(cbar, g)
-    t3 = _affine(bbar + cbar, slope, 2.0 * intercept)
-    t4 = apply_scalar_function(abar, g) + sum_gD
-    t5 = apply_scalar_function(abar, f) + sum_fD
-    labels = ("S_i P_i(f(B_i)) + f(S_i P_i(C_i))", "S_i P_i(g(B_i)) + g(S_i P_i(C_i))",
-              "chord(S_i P_i(B_i+C_i))", "g(S_i P_i(A_i)) + S_i P_i(g(D_i))",
-              "f(S_i P_i(A_i)) + S_i P_i(f(D_i))")
-    return labels, (t1, t2, t3, t4, t5)
-
-
-def _mercer_combination(inst: MercerInstance):
-    fam = inst.family
-    bbar = fam.apply_sum(list(inst.B_list))
-    w = (inst.M + inst.m) * HermitianMatrix.identity(fam.output_dim) - bbar
-    return fam, bbar, w
-
-
-def _build_lc_mercer(inst: MercerInstance, f, maps):
-    g, _, _ = _lc_pieces(inst, f)
-    fam, bbar, w = _mercer_combination(inst)
-    sum_fB = fam.apply_sum([apply_scalar_function(b, f) for b in inst.B_list])
-    sum_gB = fam.apply_sum([apply_scalar_function(b, g) for b in inst.B_list])
-    t1 = sum_fB + apply_scalar_function(w, f)
-    t2 = sum_gB + apply_scalar_function(w, g)
-    t3 = (f(inst.m) + f(inst.M)) * HermitianMatrix.identity(w.dim)
-    labels = ("S_i P_i(f(B_i)) + f(W)", "S_i P_i(g(B_i)) + g(W)", "f(m)+f(M)")
-    return labels, (t1, t2, t3)
-
-
-def _build_jm_base(inst: MercerInstance, f, maps):
-    fam, bbar, w = _mercer_combination(inst)
-    sum_fB = fam.apply_sum([apply_scalar_function(b, f) for b in inst.B_list])
-    t1 = apply_scalar_function(w, f)
-    t2 = (f(inst.m) + f(inst.M)) * HermitianMatrix.identity(w.dim) - sum_fB
-    return ("f(W)", "f(m)+f(M) - S_i P_i(f(B_i))"), (t1, t2)
-
-
-def _build_mos_base(inst: QuadrupleInstance, f, maps):
-    phi = _single_map(maps, inst.dim)
-    t1 = apply_scalar_function(phi.apply(inst.B), f) + apply_scalar_function(phi.apply(inst.C), f)
-    t2 = phi.apply(apply_scalar_function(inst.A, f)) + phi.apply(apply_scalar_function(inst.D, f))
-    return ("f(P(B))+f(P(C))", "P(f(A))+P(f(D))"), (t1, t2)
-
-
-# -- superquadratic chains ---------------------------------------------------
-
-
-def _sq_pieces(inst, f):
-    h = superquadratic_penalty(f, inst.m, inst.M)
-    gap = f(inst.M - inst.m) / (inst.M - inst.m)
-    return h, gap
-
-
-def _sq_outer_corrections(f, gap, m, M, A, D, phi=None):
-    """Corrections attached to the A/D side.
-
-    With a map: Phi(f(mI - A)) + gap * (mI - Phi(A)) and the mirror for D.
-    Without (phi None): f applied directly to the shifted operators.
-    """
-    eye_in = HermitianMatrix.identity(A.dim)
-    shift_a = m * eye_in - A
-    shift_d = D - M * eye_in
-    f_a = apply_scalar_function(shift_a, f)
-    f_d = apply_scalar_function(shift_d, f)
-    if phi is not None:
-        f_a = phi.apply(f_a)
-        f_d = phi.apply(f_d)
-        lin_a = gap * (m * HermitianMatrix.identity(phi.output_dim) - phi.apply(A))
-        lin_d = gap * (phi.apply(D) - M * HermitianMatrix.identity(phi.output_dim))
-    else:
-        lin_a = gap * shift_a
-        lin_d = gap * shift_d
-    return f_a + lin_a + f_d + lin_d
-
-
-def _build_sq_map(inst: QuadrupleInstance, f, maps):
-    phi = _single_map(maps, inst.dim)
-    h, gap = _sq_pieces(inst, f)
-    pB, pC = phi.apply(inst.B), phi.apply(inst.C)
-    lhs = apply_scalar_function(pB, f) + apply_scalar_function(pC, f)
-    rhs = (
-        phi.apply(apply_scalar_function(inst.A, f))
-        + phi.apply(apply_scalar_function(inst.D, f))
-        - apply_scalar_function(pB, h)
-        - apply_scalar_function(pC, h)
-        - _sq_outer_corrections(f, gap, inst.m, inst.M, inst.A, inst.D, phi)
-    )
-    return ("f(P(B))+f(P(C))", "P(f(A))+P(f(D)) - penalties"), (lhs, rhs)
-
-
-def _build_sq_map_v2(inst: QuadrupleInstance, f, maps):
-    phi = _single_map(maps, inst.dim)
-    h, gap = _sq_pieces(inst, f)
-    pA, pD = phi.apply(inst.A), phi.apply(inst.D)
-    eye_out = HermitianMatrix.identity(phi.output_dim)
-    lhs = phi.apply(apply_scalar_function(inst.B, f)) + phi.apply(apply_scalar_function(inst.C, f))
-    shift_a = inst.m * eye_out - pA
-    shift_d = pD - inst.M * eye_out
-    rhs = (
-        apply_scalar_function(pA, f)
-        + apply_scalar_function(pD, f)
-        - phi.apply(apply_scalar_function(inst.B, h))
-        - phi.apply(apply_scalar_function(inst.C, h))
-        - apply_scalar_function(shift_a, f) - gap * shift_a
-        - apply_scalar_function(shift_d, f) - gap * shift_d
-    )
-    return ("P(f(B))+P(f(C))", "f(P(A))+f(P(D)) - penalties"), (lhs, rhs)
-
-
-def _build_sq_map_v3(inst: QuadrupleInstance, f, maps):
-    # Mixed placement: the B argument enters through f(P(B)), so its penalty
-    # is h(P(B)); the C argument enters through P(f(C)), so its penalty sits
-    # inside the map.  A and D mirror that pairing.
-    phi = _single_map(maps, inst.dim)
-    h, gap = _sq_pieces(inst, f)
-    pB = phi.apply(inst.B)
-    pA, pD = phi.apply(inst.A), phi.apply(inst.D)
-    eye_out = HermitianMatrix.identity(phi.output_dim)
-    eye_in = HermitianMatrix.identity(inst.dim)
-    lhs = apply_scalar_function(pB, f) + phi.apply(apply_scalar_function(inst.C, f))
-    shift_d = pD - inst.M * eye_out
-    rhs = (
-        phi.apply(apply_scalar_function(inst.A, f))
-        + apply_scalar_function(pD, f)
-        - apply_scalar_function(pB, h)
-        - phi.apply(apply_scalar_function(inst.C, h))
-        - phi.apply(apply_scalar_function(inst.m * eye_in - inst.A, f))
-        - gap * (inst.m * eye_out - pA)
-        - apply_scalar_function(shift_d, f) - gap * shift_d
-    )
-    return ("f(P(B))+P(f(C))", "P(f(A))+f(P(D)) - penalties"), (lhs, rhs)
-
-
-def _sq_family_outer(inst: MultiQuadrupleInstance, f, gap, abar, dbar):
-    fam = inst.family
-    eye_in = HermitianMatrix.identity(inst.dim)
-    eye_out = HermitianMatrix.identity(fam.output_dim)
-    sum_fa = fam.apply_sum(
-        [apply_scalar_function(inst.m * eye_in - q.A, f) for q in inst.quadruples]
-    )
-    sum_fd = fam.apply_sum(
-        [apply_scalar_function(q.D - inst.M * eye_in, f) for q in inst.quadruples]
-    )
-    lin = gap * ((inst.m * eye_out - abar) + (dbar - inst.M * eye_out))
-    return sum_fa + sum_fd + lin
-
-
-def _build_sq_multi_a(inst: MultiQuadrupleInstance, f, maps):
-    h, gap = _sq_pieces(inst, f)
-    fam, bbar, cbar, abar, dbar = _family_sums(inst)
-    lhs = (
-        apply_scalar_function(bbar, f)
-        + apply_scalar_function(cbar, f)
-        + apply_scalar_function(bbar, h)
-        + apply_scalar_function(cbar, h)
-    )
-    sum_fA = fam.apply_sum([apply_scalar_function(q.A, f) for q in inst.quadruples])
-    sum_fD = fam.apply_sum([apply_scalar_function(q.D, f) for q in inst.quadruples])
-    rhs = sum_fA + sum_fD - _sq_family_outer(inst, f, gap, abar, dbar)
-    labels = ("f(Bbar)+f(Cbar) + penalties", "S_i P_i(f(A_i))+S_i P_i(f(D_i)) - penalties")
-    return labels, (lhs, rhs)
-
-
-def _build_sq_multi_b(inst: MultiQuadrupleInstance, f, maps):
-    h, gap = _sq_pieces(inst, f)
-    fam, bbar, cbar, abar, dbar = _family_sums(inst)
-    sum_fB = fam.apply_sum([apply_scalar_function(q.B, f) for q in inst.quadruples])
-    sum_hB = fam.apply_sum([apply_scalar_function(q.B, h) for q in inst.quadruples])
-    lhs = (
-        sum_fB
-        + apply_scalar_function(cbar, f)
-        + sum_hB
-        + apply_scalar_function(cbar, h)
-    )
-    eye_out = HermitianMatrix.identity(fam.output_dim)
-    sum_fD = fam.apply_sum([apply_scalar_function(q.D, f) for q in inst.quadruples])
-    sum_fd_shift = fam.apply_sum(
-        [apply_scalar_function(q.D - inst.M * HermitianMatrix.identity(inst.dim), f)
-         for q in inst.quadruples]
-    )
-    shift_abar = inst.m * eye_out - abar
-    rhs = (
-        apply_scalar_function(abar, f)
-        + sum_fD
-        - apply_scalar_function(shift_abar, f)
-        - gap * shift_abar
-        - sum_fd_shift
-        - gap * (dbar - inst.M * eye_out)
-    )
-    labels = ("S_i P_i(f(B_i)) + f(Cbar) + penalties",
-              "f(Abar) + S_i P_i(f(D_i)) - penalties")
-    return labels, (lhs, rhs)
-
-
-def _build_sq_mercer(inst: MercerInstance, f, maps):
-    h, gap = _sq_pieces(inst, f)
-    fam, bbar, w = _mercer_combination(inst)
-    sum_hB = fam.apply_sum([apply_scalar_function(b, h) for b in inst.B_list])
-    sum_fB = fam.apply_sum([apply_scalar_function(b, f) for b in inst.B_list])
-    lhs = apply_scalar_function(w, f) + sum_hB + apply_scalar_function(w, h)
-    rhs = (f(inst.m) + f(inst.M) - 2.0 * f(0.0)) * HermitianMatrix.identity(w.dim) - sum_fB
-    labels = ("f(W) + penalties", "f(m)+f(M)-2f(0) - S_i P_i(f(B_i))")
-    return labels, (lhs, rhs)
-
-
-def _build_sq_quad(inst: QuadrupleInstance, f, maps):
-    h, gap = _sq_pieces(inst, f)
-    lhs = (
-        apply_scalar_function(inst.B, f)
-        + apply_scalar_function(inst.C, f)
-        + apply_scalar_function(inst.B, h)
-        + apply_scalar_function(inst.C, h)
-    )
-    rhs = (
-        apply_scalar_function(inst.A, f)
-        + apply_scalar_function(inst.D, f)
-        - _sq_outer_corrections(f, gap, inst.m, inst.M, inst.A, inst.D)
-    )
-    return ("f(B)+f(C) + penalties", "f(A)+f(D) - penalties"), (lhs, rhs)
-
-
-def _build_sq_mid(inst: MidpointInstance, f, maps):
-    h, gap = _sq_pieces(inst, f)
-    w = inst.midpoint()
-    lhs = apply_scalar_function(w, f) + apply_scalar_function(w, h)
-    rhs = 0.5 * (
-        apply_scalar_function(inst.A, f)
-        + apply_scalar_function(inst.D, f)
-        - _sq_outer_corrections(f, gap, inst.m, inst.M, inst.A, inst.D)
-    )
-    return ("f(W) + penalty", "(f(A)+f(D))/2 - penalties"), (lhs, rhs)
-
-
-# -- baselines ---------------------------------------------------------------
-
-
-def _baseline_from_chain(builder):
-    def base(inst, f, maps):
-        labels, terms = builder(inst, f, maps)
-        return (labels[0], labels[-1]), (terms[0], terms[-1])
-
-    return base
-
-
-def _baseline_sq_map(inst, f, maps):
-    phi = _single_map(maps, inst.dim)
-    t1 = apply_scalar_function(phi.apply(inst.B), f) + apply_scalar_function(phi.apply(inst.C), f)
-    t2 = phi.apply(apply_scalar_function(inst.A, f)) + phi.apply(apply_scalar_function(inst.D, f))
-    return ("f(P(B))+f(P(C))", "P(f(A))+P(f(D))"), (t1, t2)
-
-
-def _baseline_sq_map_v2(inst, f, maps):
-    phi = _single_map(maps, inst.dim)
-    t1 = phi.apply(apply_scalar_function(inst.B, f)) + phi.apply(apply_scalar_function(inst.C, f))
-    t2 = apply_scalar_function(phi.apply(inst.A), f) + apply_scalar_function(phi.apply(inst.D), f)
-    return ("P(f(B))+P(f(C))", "f(P(A))+f(P(D))"), (t1, t2)
-
-
-def _baseline_sq_map_v3(inst, f, maps):
-    phi = _single_map(maps, inst.dim)
-    t1 = apply_scalar_function(phi.apply(inst.B), f) + phi.apply(apply_scalar_function(inst.C, f))
-    t2 = phi.apply(apply_scalar_function(inst.A, f)) + apply_scalar_function(phi.apply(inst.D), f)
-    return ("f(P(B))+P(f(C))", "P(f(A))+f(P(D))"), (t1, t2)
-
-
-def _baseline_sq_multi_a(inst, f, maps):
-    fam, bbar, cbar, abar, dbar = _family_sums(inst)
-    t1 = apply_scalar_function(bbar, f) + apply_scalar_function(cbar, f)
-    t2 = fam.apply_sum([apply_scalar_function(q.A, f) for q in inst.quadruples]) + fam.apply_sum(
-        [apply_scalar_function(q.D, f) for q in inst.quadruples]
-    )
-    return ("f(Bbar)+f(Cbar)", "S_i P_i(f(A_i))+S_i P_i(f(D_i))"), (t1, t2)
-
-
-def _baseline_sq_multi_b(inst, f, maps):
-    fam, bbar, cbar, abar, dbar = _family_sums(inst)
-    t1 = fam.apply_sum([apply_scalar_function(q.B, f) for q in inst.quadruples]) + (
-        apply_scalar_function(cbar, f)
-    )
-    t2 = apply_scalar_function(abar, f) + fam.apply_sum(
-        [apply_scalar_function(q.D, f) for q in inst.quadruples]
-    )
-    return ("S_i P_i(f(B_i))+f(Cbar)", "f(Abar)+S_i P_i(f(D_i))"), (t1, t2)
-
-
-def _baseline_sq_quad(inst, f, maps):
-    t1 = apply_scalar_function(inst.B, f) + apply_scalar_function(inst.C, f)
-    t2 = apply_scalar_function(inst.A, f) + apply_scalar_function(inst.D, f)
-    return ("f(B)+f(C)", "f(A)+f(D)"), (t1, t2)
-
-
-def _baseline_sq_mid(inst, f, maps):
-    w = inst.midpoint()
-    t1 = apply_scalar_function(w, f)
-    t2 = 0.5 * (apply_scalar_function(inst.A, f) + apply_scalar_function(inst.D, f))
-    return ("f(W)", "(f(A)+f(D))/2"), (t1, t2)
+
+DIR, IN, OUT = "direct", "inside", "outside"
+F, G, H, ID, CONST = "f", "g", "h", "id", "const"
+SHIFTS = ("mI-A", "D-MI")
+
+# Composite operands over the base operators; ``x`` looks a base operator up
+# (raw or mapped) and ``eye`` gives the identity of that space.
+_OPERANDS = {
+    "B+C": lambda x, m, M, eye: x("B") + x("C"),
+    "W": lambda x, m, M, eye: 0.5 * (x("A") + x("D")),
+    "(M+m)I-B": lambda x, m, M, eye: (M + m) * eye() - x("B"),
+    "mI-A": lambda x, m, M, eye: m * eye() - x("A"),
+    "D-MI": lambda x, m, M, eye: x("D") - M * eye(),
+}
+
+
+class Term(NamedTuple):
+    """A chain term: label, signed sum of atoms and groups, and the label
+    of what is left once the refinement atoms are removed."""
+
+    label: str
+    atoms: tuple
+    base: str | None = None
+
+
+def T(label: str, *atoms, base: str | None = None) -> Term:
+    return Term(label, atoms, base)
+
+
+def _is_refinement(atom) -> bool:
+    _, _, fn, operand = atom
+    return fn == H or operand in SHIFTS or (fn == CONST and operand == "f(0)")
+
+
+def _strip(items) -> tuple:
+    kept = []
+    for item in items:
+        if len(item) == 2:
+            inner = _strip(item[1])
+            if inner:
+                kept.append((item[0], inner))
+        elif not _is_refinement(item):
+            kept.append(item)
+    return tuple(kept)
+
+
+class _Evaluator:
+    """Evaluates table terms on one instance.  Within one build every
+    operand, operator image, applied function and scalar is computed once."""
+
+    def __init__(self, spec: "TheoremSpec", inst, f: FunctionDescriptor, maps):
+        self.inst, self.f, self.memo = inst, f, {}
+        # Base name -> operator, per member; one member unless a family.
+        if isinstance(inst, MercerInstance):
+            self.members = [{"B": b} for b in inst.B_list]
+        else:
+            self.members = [vars(q) for q in getattr(inst, "quadruples", [inst])]
+        self.family = inst.family if spec.map_mode == "family" else None
+        self.phi = maps
+        mapped = self.family or (maps if spec.map_mode == "single" else None)
+        self.out_dim = mapped.output_dim if mapped is not None else inst.dim
+
+    def _cached(self, key, compute):
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def _eye(self, dim: int) -> HermitianMatrix:
+        return self._cached(("I", dim), lambda: HermitianMatrix.identity(dim))
+
+    def _matrix(self, value) -> HermitianMatrix:
+        return value if isinstance(value, HermitianMatrix) else value * self._eye(self.out_dim)
+
+    def _push(self, xs: list) -> HermitianMatrix:
+        """P(X) of the one member, or sum_i P_i(X_i) over a family."""
+        return self.family.apply_sum(xs) if self.family is not None else self.phi.apply(xs[0])
+
+    def _expr(self, name: str, x, dim: int) -> HermitianMatrix:
+        if name in ("A", "B", "C", "D"):
+            return x(name)
+        return _OPERANDS[name](x, self.inst.m, self.inst.M, lambda: self._eye(dim))
+
+    def _operand(self, name: str, mapped: bool):
+        """The operand over the images of the base operators (the bar sums
+        over a family), or over the raw operators as a list, one per member."""
+        def image(n):
+            return self._cached(("P", n), lambda: self._push([mem[n] for mem in self.members]))
+
+        def build():
+            if mapped:
+                return self._expr(name, image, self.out_dim)
+            return [self._expr(name, mem.__getitem__, self.inst.dim) for mem in self.members]
+
+        return self._cached(("X", name, mapped), build)
+
+    def _apply(self, fn: str, x: HermitianMatrix) -> HermitianMatrix:
+        if fn == ID:
+            return x
+        if fn == F:
+            return apply_scalar_function(x, self.f)
+        shape = geometric_interpolant if fn == G else superquadratic_penalty
+        return apply_scalar_function(
+            x, self._cached(fn, lambda: shape(self.f, self.inst.m, self.inst.M)))
+
+    def _scalar(self, name: str) -> float:
+        f, m, M = self.f, self.inst.m, self.inst.M
+        if name in ("slope", "intercept"):
+            return self._cached("chord", lambda: chord_coefficients(f, m, M))[name == "intercept"]
+        if name == "gap":
+            return self._cached(name, lambda: f(M - m) / (M - m))
+        return self._cached(name, lambda: f({"f(m)": m, "f(M)": M, "f(0)": 0.0}[name]))
+
+    def _atom(self, place: str, fn: str, operand: str):
+        if fn == CONST:
+            return self._scalar(operand)
+
+        def value():
+            if place == IN:
+                return self._push([self._apply(fn, x) for x in self._operand(operand, False)])
+            x = self._operand(operand, place == OUT)
+            return self._apply(fn, x if place == OUT else x[0])
+
+        return self._cached((place, fn, operand), value)
+
+    def fold(self, items) -> HermitianMatrix:
+        """Left fold of signed, scaled items.  Constants add up as scalars
+        until they meet an operator or the sum ends, then become multiples
+        of I."""
+        acc = None
+        for coef, *rest in items:
+            value = self.fold(rest[0]) if len(rest) == 1 else self._atom(*rest)
+            negative = coef.startswith("-") if isinstance(coef, str) else coef < 0
+            scale = self._scalar(coef.lstrip("-")) if isinstance(coef, str) else abs(coef)
+            if scale != 1:
+                value = scale * value
+            if acc is None:
+                acc = -value if negative else value
+                continue
+            if isinstance(acc, HermitianMatrix) != isinstance(value, HermitianMatrix):
+                acc, value = self._matrix(acc), self._matrix(value)
+            acc = acc - value if negative else acc + value
+        return self._matrix(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -739,84 +449,182 @@ class TheoremSpec:
     map_mode: str  # none | single | family
     required_class: str
     condition: str  # equal-sum | either-condition | none
-    builder: object
-    baseline: object
+    terms: tuple
     needs_nonneg: bool = False
     power_predicate: object = None
     power_description: str = ""
 
+    @property
+    def relaxations(self) -> tuple:
+        """The hypotheses a counterexample hunt may drop."""
+        if self.condition == "equal-sum":
+            return ("equal-sum",)
+        if self.condition == "either-condition":
+            return RELAXATIONS[:4]
+        return ()
 
-def _spec(id, description, kind, map_mode, cls, condition, builder, baseline=None,
-          needs_nonneg=False, power_predicate=None, power_description=""):
-    return TheoremSpec(
-        id=id,
-        description=description,
-        instance_kind=kind,
-        map_mode=map_mode,
-        required_class=cls,
-        condition=condition,
-        builder=builder,
-        baseline=baseline or _baseline_from_chain(builder),
-        needs_nonneg=needs_nonneg,
-        power_predicate=power_predicate,
-        power_description=power_description,
-    )
+    @property
+    def baseline_terms(self) -> tuple:
+        """First and last terms with every refinement atom removed."""
+        return tuple(Term(t.base or t.label, _strip(t.atoms))
+                     for t in (self.terms[0], self.terms[-1]))
 
 
-THEOREMS: dict[str, TheoremSpec] = {
-    t.id: t
-    for t in [
-        _spec("JM-BASE", "two-term Mercer baseline for convex f",
-              "mercer", "family", CONVEX, "none", _build_jm_base),
-        _spec("MOS-BASE", "two-term map baseline for convex f",
-              "quadruple", "single", CONVEX, "equal-sum", _build_mos_base),
-        _spec("LC-QUAD", "five-term log-convex chain, no maps",
-              "quadruple", "none", LOG_CONVEX, "either-condition", _build_lc_quad),
-        _spec("LC-POW", "LC-QUAD specialized to t^p with p <= 0",
-              "quadruple", "none", LOG_CONVEX, "either-condition", _build_lc_quad,
-              power_predicate=lambda p: p <= 0, power_description="a power with p <= 0"),
-        _spec("LC-MID", "five-term log-convex chain at the midpoint pair",
-              "midpoint", "none", LOG_CONVEX, "none", _build_lc_mid),
-        _spec("LC-MAP", "five-term log-convex chain, map inside on B,C side",
-              "quadruple", "single", LOG_CONVEX, "equal-sum", _build_lc_map),
-        _spec("LC-MAP-V2", "five-term log-convex chain, map outside on B,C side",
-              "quadruple", "single", LOG_CONVEX, "equal-sum", _build_lc_map_v2),
-        _spec("LC-MAP-V3", "five-term log-convex chain, mixed placement",
-              "quadruple", "single", LOG_CONVEX, "equal-sum", _build_lc_map_v3),
-        _spec("LC-MULTI", "five-term log-convex chain over a map family",
-              "multi", "family", LOG_CONVEX, "none", _build_lc_multi),
-        _spec("LC-MERCER", "three-term Mercer interpolation for log-convex f",
-              "mercer", "family", LOG_CONVEX, "none", _build_lc_mercer),
-        _spec("SQ-MAP", "superquadratic refinement, map inside",
-              "quadruple", "single", SUPERQUADRATIC, "equal-sum", _build_sq_map,
-              baseline=_baseline_sq_map, needs_nonneg=True),
-        _spec("SQ-POW", "SQ-MAP specialized to t^p with p >= 2",
-              "quadruple", "single", SUPERQUADRATIC, "equal-sum", _build_sq_map,
-              baseline=_baseline_sq_map, needs_nonneg=True,
-              power_predicate=lambda p: p >= 2, power_description="a power with p >= 2"),
-        _spec("SQ-MAP-V2", "superquadratic refinement, map outside",
-              "quadruple", "single", SUPERQUADRATIC, "equal-sum", _build_sq_map_v2,
-              baseline=_baseline_sq_map_v2, needs_nonneg=True),
-        _spec("SQ-MAP-V3", "superquadratic refinement, mixed placement",
-              "quadruple", "single", SUPERQUADRATIC, "equal-sum", _build_sq_map_v3,
-              baseline=_baseline_sq_map_v3, needs_nonneg=True),
-        _spec("SQ-MULTI-A", "superquadratic family refinement, combinations outside",
-              "multi", "family", SUPERQUADRATIC, "none", _build_sq_multi_a,
-              baseline=_baseline_sq_multi_a, needs_nonneg=True),
-        _spec("SQ-MULTI-B", "superquadratic family refinement, mixed placement",
-              "multi", "family", SUPERQUADRATIC, "none", _build_sq_multi_b,
-              baseline=_baseline_sq_multi_b, needs_nonneg=True),
-        _spec("SQ-MERCER", "superquadratic Mercer refinement",
-              "mercer", "family", SUPERQUADRATIC, "none", _build_sq_mercer,
-              baseline=_build_jm_base, needs_nonneg=True),
-        _spec("SQ-QUAD", "superquadratic refinement under condition (i)/(ii)",
-              "quadruple", "none", SUPERQUADRATIC, "either-condition", _build_sq_quad,
-              baseline=_baseline_sq_quad, needs_nonneg=True),
-        _spec("SQ-MID", "superquadratic refinement at the midpoint pair",
-              "midpoint", "none", SUPERQUADRATIC, "none", _build_sq_mid,
-              baseline=_baseline_sq_mid, needs_nonneg=True),
-    ]
-}
+# The SQ outer corrections f(shift) + gap * shift, subtracted as one group.
+_OUTER_DIR = ((1, DIR, F, "mI-A"), ("gap", DIR, ID, "mI-A"),
+              (1, DIR, F, "D-MI"), ("gap", DIR, ID, "D-MI"))
+_OUTER_MAP = ((1, IN, F, "mI-A"), ("gap", OUT, ID, "mI-A"),
+              (1, IN, F, "D-MI"), ("gap", OUT, ID, "D-MI"))
+_F_M_PLUS_F_M = ((1, DIR, CONST, "f(m)"), (1, DIR, CONST, "f(M)"))
+
+_LC_QUAD = (
+    T("f(B)+f(C)", (1, DIR, F, "B"), (1, DIR, F, "C")),
+    T("g(B)+g(C)", (1, DIR, G, "B"), (1, DIR, G, "C")),
+    T("chord(B+C)", ("slope", DIR, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
+    T("g(A)+g(D)", (1, DIR, G, "A"), (1, DIR, G, "D")),
+    T("f(A)+f(D)", (1, DIR, F, "A"), (1, DIR, F, "D")))
+_SQ_MAP = (
+    T("f(P(B))+f(P(C))", (1, OUT, F, "B"), (1, OUT, F, "C")),
+    T("P(f(A))+P(f(D)) - penalties", (1, IN, F, "A"), (1, IN, F, "D"),
+      (-1, OUT, H, "B"), (-1, OUT, H, "C"), (-1, _OUTER_MAP), base="P(f(A))+P(f(D))"))
+
+THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
+    TheoremSpec(
+        "JM-BASE", "two-term Mercer baseline for convex f", "mercer", "family", CONVEX, "none", (
+            T("f(W)", (1, OUT, F, "(M+m)I-B")),
+            T("f(m)+f(M) - S_i P_i(f(B_i))", *_F_M_PLUS_F_M, (-1, IN, F, "B")))),
+    TheoremSpec(
+        "MOS-BASE", "two-term map baseline for convex f",
+        "quadruple", "single", CONVEX, "equal-sum", (
+            T("f(P(B))+f(P(C))", (1, OUT, F, "B"), (1, OUT, F, "C")),
+            T("P(f(A))+P(f(D))", (1, IN, F, "A"), (1, IN, F, "D")))),
+    TheoremSpec(
+        "LC-QUAD", "five-term log-convex chain, no maps",
+        "quadruple", "none", LOG_CONVEX, "either-condition", _LC_QUAD),
+    TheoremSpec(
+        "LC-POW", "LC-QUAD specialized to t^p with p <= 0",
+        "quadruple", "none", LOG_CONVEX, "either-condition", _LC_QUAD,
+        power_predicate=lambda p: p <= 0, power_description="a power with p <= 0"),
+    TheoremSpec(
+        "LC-MID", "five-term log-convex chain at the midpoint pair",
+        "midpoint", "none", LOG_CONVEX, "none", (
+            T("f(W)", (1, DIR, F, "W")),
+            T("g(W)", (1, DIR, G, "W")),
+            T("chord(W)", ("slope", DIR, ID, "W"), (1, DIR, CONST, "intercept")),
+            T("(g(A)+g(D))/2", (0.5, ((1, DIR, G, "A"), (1, DIR, G, "D")))),
+            T("(f(A)+f(D))/2", (0.5, ((1, DIR, F, "A"), (1, DIR, F, "D")))))),
+    TheoremSpec(
+        "LC-MAP", "five-term log-convex chain, map inside on B,C side",
+        "quadruple", "single", LOG_CONVEX, "equal-sum", (
+            T("P(f(B))+P(f(C))", (1, IN, F, "B"), (1, IN, F, "C")),
+            T("P(g(B))+P(g(C))", (1, IN, G, "B"), (1, IN, G, "C")),
+            T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
+            T("g(P(A))+g(P(D))", (1, OUT, G, "A"), (1, OUT, G, "D")),
+            T("f(P(A))+f(P(D))", (1, OUT, F, "A"), (1, OUT, F, "D")))),
+    TheoremSpec(
+        "LC-MAP-V2", "five-term log-convex chain, map outside on B,C side",
+        "quadruple", "single", LOG_CONVEX, "equal-sum", (
+            T("f(P(B))+f(P(C))", (1, OUT, F, "B"), (1, OUT, F, "C")),
+            T("g(P(B))+g(P(C))", (1, OUT, G, "B"), (1, OUT, G, "C")),
+            T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
+            T("P(g(A))+P(g(D))", (1, IN, G, "A"), (1, IN, G, "D")),
+            T("P(f(A))+P(f(D))", (1, IN, F, "A"), (1, IN, F, "D")))),
+    TheoremSpec(
+        "LC-MAP-V3", "five-term log-convex chain, mixed placement",
+        "quadruple", "single", LOG_CONVEX, "equal-sum", (
+            T("P(f(B))+f(P(C))", (1, IN, F, "B"), (1, OUT, F, "C")),
+            T("P(g(B))+g(P(C))", (1, IN, G, "B"), (1, OUT, G, "C")),
+            T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
+            T("g(P(A))+P(g(D))", (1, OUT, G, "A"), (1, IN, G, "D")),
+            T("f(P(A))+P(f(D))", (1, OUT, F, "A"), (1, IN, F, "D")))),
+    TheoremSpec(
+        "LC-MULTI", "five-term log-convex chain over a map family",
+        "multi", "family", LOG_CONVEX, "none", (
+            T("S_i P_i(f(B_i)) + f(S_i P_i(C_i))", (1, IN, F, "B"), (1, OUT, F, "C")),
+            T("S_i P_i(g(B_i)) + g(S_i P_i(C_i))", (1, IN, G, "B"), (1, OUT, G, "C")),
+            T("chord(S_i P_i(B_i+C_i))",
+              ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
+            T("g(S_i P_i(A_i)) + S_i P_i(g(D_i))", (1, OUT, G, "A"), (1, IN, G, "D")),
+            T("f(S_i P_i(A_i)) + S_i P_i(f(D_i))", (1, OUT, F, "A"), (1, IN, F, "D")))),
+    TheoremSpec(
+        "LC-MERCER", "three-term Mercer interpolation for log-convex f",
+        "mercer", "family", LOG_CONVEX, "none", (
+            T("S_i P_i(f(B_i)) + f(W)", (1, IN, F, "B"), (1, OUT, F, "(M+m)I-B")),
+            T("S_i P_i(g(B_i)) + g(W)", (1, IN, G, "B"), (1, OUT, G, "(M+m)I-B")),
+            T("f(m)+f(M)", *_F_M_PLUS_F_M))),
+    TheoremSpec(
+        "SQ-MAP", "superquadratic refinement, map inside",
+        "quadruple", "single", SUPERQUADRATIC, "equal-sum", _SQ_MAP, needs_nonneg=True),
+    TheoremSpec(
+        "SQ-POW", "SQ-MAP specialized to t^p with p >= 2",
+        "quadruple", "single", SUPERQUADRATIC, "equal-sum", _SQ_MAP, needs_nonneg=True,
+        power_predicate=lambda p: p >= 2, power_description="a power with p >= 2"),
+    TheoremSpec(
+        "SQ-MAP-V2", "superquadratic refinement, map outside",
+        "quadruple", "single", SUPERQUADRATIC, "equal-sum", (
+            T("P(f(B))+P(f(C))", (1, IN, F, "B"), (1, IN, F, "C")),
+            T("f(P(A))+f(P(D)) - penalties", (1, OUT, F, "A"), (1, OUT, F, "D"),
+              (-1, IN, H, "B"), (-1, IN, H, "C"),
+              (-1, OUT, F, "mI-A"), ("-gap", OUT, ID, "mI-A"),
+              (-1, OUT, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="f(P(A))+f(P(D))")),
+        needs_nonneg=True),
+    # Mixed placement: B enters through f(P(B)), so its penalty is h(P(B));
+    # C enters through P(f(C)), so its penalty sits inside the map.  A and D
+    # mirror that pairing.
+    TheoremSpec(
+        "SQ-MAP-V3", "superquadratic refinement, mixed placement",
+        "quadruple", "single", SUPERQUADRATIC, "equal-sum", (
+            T("f(P(B))+P(f(C))", (1, OUT, F, "B"), (1, IN, F, "C")),
+            T("P(f(A))+f(P(D)) - penalties", (1, IN, F, "A"), (1, OUT, F, "D"),
+              (-1, OUT, H, "B"), (-1, IN, H, "C"),
+              (-1, IN, F, "mI-A"), ("-gap", OUT, ID, "mI-A"),
+              (-1, OUT, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="P(f(A))+f(P(D))")),
+        needs_nonneg=True),
+    TheoremSpec(
+        "SQ-MULTI-A", "superquadratic family refinement, combinations outside",
+        "multi", "family", SUPERQUADRATIC, "none", (
+            T("f(Bbar)+f(Cbar) + penalties", (1, OUT, F, "B"), (1, OUT, F, "C"),
+              (1, OUT, H, "B"), (1, OUT, H, "C"), base="f(Bbar)+f(Cbar)"),
+            T("S_i P_i(f(A_i))+S_i P_i(f(D_i)) - penalties", (1, IN, F, "A"), (1, IN, F, "D"),
+              (-1, ((1, IN, F, "mI-A"), (1, IN, F, "D-MI"),
+                    ("gap", ((1, OUT, ID, "mI-A"), (1, OUT, ID, "D-MI"))))),
+              base="S_i P_i(f(A_i))+S_i P_i(f(D_i))")),
+        needs_nonneg=True),
+    TheoremSpec(
+        "SQ-MULTI-B", "superquadratic family refinement, mixed placement",
+        "multi", "family", SUPERQUADRATIC, "none", (
+            T("S_i P_i(f(B_i)) + f(Cbar) + penalties", (1, IN, F, "B"), (1, OUT, F, "C"),
+              (1, IN, H, "B"), (1, OUT, H, "C"), base="S_i P_i(f(B_i))+f(Cbar)"),
+            T("f(Abar) + S_i P_i(f(D_i)) - penalties", (1, OUT, F, "A"), (1, IN, F, "D"),
+              (-1, OUT, F, "mI-A"), ("-gap", OUT, ID, "mI-A"),
+              (-1, IN, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="f(Abar)+S_i P_i(f(D_i))")),
+        needs_nonneg=True),
+    TheoremSpec(
+        "SQ-MERCER", "superquadratic Mercer refinement",
+        "mercer", "family", SUPERQUADRATIC, "none", (
+            T("f(W) + penalties", (1, OUT, F, "(M+m)I-B"), (1, IN, H, "B"),
+              (1, OUT, H, "(M+m)I-B"), base="f(W)"),
+            T("f(m)+f(M)-2f(0) - S_i P_i(f(B_i))", *_F_M_PLUS_F_M,
+              (-2, DIR, CONST, "f(0)"), (-1, IN, F, "B"),
+              base="f(m)+f(M) - S_i P_i(f(B_i))")),
+        needs_nonneg=True),
+    TheoremSpec(
+        "SQ-QUAD", "superquadratic refinement under condition (i)/(ii)",
+        "quadruple", "none", SUPERQUADRATIC, "either-condition", (
+            T("f(B)+f(C) + penalties", (1, DIR, F, "B"), (1, DIR, F, "C"),
+              (1, DIR, H, "B"), (1, DIR, H, "C"), base="f(B)+f(C)"),
+            T("f(A)+f(D) - penalties", (1, DIR, F, "A"), (1, DIR, F, "D"),
+              (-1, _OUTER_DIR), base="f(A)+f(D)")),
+        needs_nonneg=True),
+    TheoremSpec(
+        "SQ-MID", "superquadratic refinement at the midpoint pair",
+        "midpoint", "none", SUPERQUADRATIC, "none", (
+            T("f(W) + penalty", (1, DIR, F, "W"), (1, DIR, H, "W"), base="f(W)"),
+            T("(f(A)+f(D))/2 - penalties",
+              (0.5, ((1, DIR, F, "A"), (1, DIR, F, "D"), (-1, _OUTER_DIR))),
+              base="(f(A)+f(D))/2")),
+        needs_nonneg=True),
+)}
 
 _KIND_TYPES = {
     "quadruple": QuadrupleInstance,
@@ -835,31 +643,27 @@ def resolve_theorem(theorem_id: str) -> TheoremSpec:
 
 def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
                       tol: float, relaxed: str | None) -> None:
+    check_tolerance(tol)
     expected = _KIND_TYPES[spec.instance_kind]
     if not isinstance(inst, expected):
-        raise ShapeMismatch(
-            f"{spec.id} expects a {expected.__name__}, got {type(inst).__name__}"
-        )
+        raise ShapeMismatch(f"{spec.id} expects a {expected.__name__}, "
+                            f"got {type(inst).__name__}")
+    if not inst.m < inst.M:
+        raise DegenerateInterval(f"need m < M, got m={inst.m!r}, M={inst.M!r}")
     violations = validate_instance(inst, tol)
     if violations:
         raise HypothesisViolation("instance invariants", violations[0])
-    if relaxed is not None:
-        if relaxed not in RELAXATIONS:
-            raise UnknownRelaxation(f"unknown relaxation {relaxed!r}")
-        applies = "equal-sum" if spec.condition == "equal-sum" else (
-            RELAXATIONS[:4] if spec.condition == "either-condition" else ()
-        )
-        if relaxed not in applies:
-            raise UnknownRelaxation(f"relaxation {relaxed!r} does not apply to {spec.id}")
-    _require_class(f, spec.required_class)
-    if spec.power_predicate is not None:
-        _require_power(f, spec.power_predicate, spec.power_description)
+    _check_relaxation(spec, relaxed)
+    if spec.required_class not in f.classes:
+        raise HypothesisViolation("function class mismatch", f"{f.id} is not {spec.required_class}")
+    p = f.params.get("p")
+    if spec.power_predicate is not None and (p is None or not spec.power_predicate(p)):
+        raise HypothesisViolation("function class mismatch",
+                                  f"{f.id} is not {spec.power_description}")
     if spec.needs_nonneg:
         if inst.m < 0:
             raise HypothesisViolation("0 <= m", f"m = {inst.m}")
-        if isinstance(inst, QuadrupleInstance):
-            _check_nonneg([("A", inst.A)], tol, "A")
-        elif isinstance(inst, MidpointInstance):
+        if isinstance(inst, (QuadrupleInstance, MidpointInstance)):
             _check_nonneg([("A", inst.A)], tol, "A")
         elif isinstance(inst, MultiQuadrupleInstance):
             _check_nonneg([(f"A_{i}", q.A) for i, q in enumerate(inst.quadruples)], tol, "A_i")
@@ -867,10 +671,23 @@ def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
         _check_equal_sum(inst, tol, relaxed)
     elif spec.condition == "either-condition":
         _check_sum_condition(inst, f, tol, relaxed)
-    if spec.map_mode == "single" and not isinstance(maps, PositiveUnitalMap):
-        raise ShapeMismatch(f"{spec.id} needs a single positive unital map")
+    if spec.map_mode == "single":
+        if not isinstance(maps, PositiveUnitalMap):
+            raise ShapeMismatch(f"{spec.id} needs a single positive unital map")
+        if maps.input_dim != inst.dim:
+            raise ShapeMismatch(f"map expects dim {maps.input_dim}, instance has dim {inst.dim}")
     if spec.map_mode == "family" and not isinstance(getattr(inst, "family", None), MapFamily):
         raise ShapeMismatch(f"{spec.id} needs an instance carrying a map family")
+
+
+def _compile(spec: TheoremSpec, terms, name: str, instance, f, maps) -> ExpressionChain:
+    evaluator = _Evaluator(spec, instance, f, maps)
+    return ExpressionChain(
+        theorem=name,
+        terms=tuple(evaluator.fold(t.atoms) for t in terms),
+        labels=tuple(t.label for t in terms),
+        instance_digest=instance.digest(),
+    )
 
 
 def build_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
@@ -883,11 +700,7 @@ def build_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
     """
     spec = resolve_theorem(theorem if isinstance(theorem, str) else theorem.id)
     _check_hypotheses(spec, instance, f, maps, tol, relaxed)
-    labels, terms = spec.builder(instance, f, maps)
-    return ExpressionChain(
-        theorem=spec.id, terms=tuple(terms), labels=tuple(labels),
-        instance_digest=instance.digest(),
-    )
+    return _compile(spec, spec.terms, spec.id, instance, f, maps)
 
 
 def baseline_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
@@ -896,11 +709,7 @@ def baseline_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
     the full chain passing implies this passes."""
     spec = resolve_theorem(theorem if isinstance(theorem, str) else theorem.id)
     _check_hypotheses(spec, instance, f, maps, tol, None)
-    labels, terms = spec.baseline(instance, f, maps)
-    return ExpressionChain(
-        theorem=f"{spec.id}:baseline", terms=tuple(terms), labels=tuple(labels),
-        instance_digest=instance.digest(),
-    )
+    return _compile(spec, spec.baseline_terms, f"{spec.id}:baseline", instance, f, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -963,29 +772,22 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
 
     With ``relaxation=None`` the instances satisfy all hypotheses, so a
     non-None result would witness a bug rather than a sharp hypothesis.
+    Arguments are checked before anything is sampled.
     """
     spec = resolve_theorem(theorem)
-    if relaxation is not None:
-        if relaxation not in RELAXATIONS:
-            raise UnknownRelaxation(f"unknown relaxation {relaxation!r}")
-        if spec.condition == "equal-sum":
-            if relaxation != "equal-sum":
-                raise UnknownRelaxation(f"{relaxation!r} does not apply to {spec.id}")
-        elif spec.condition == "either-condition":
-            if relaxation == "equal-sum":
-                raise UnknownRelaxation(f"{relaxation!r} does not apply to {spec.id}")
-        else:
-            raise UnknownRelaxation(f"{spec.id} has no relaxable hypotheses")
+    _check_relaxation(spec, relaxation)
+    if budget < 0:
+        raise ConfigError(f"budget: must be >= 0, got {budget!r}")
+    check_tolerance(tol)
+    if not m < M:
+        raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
     dims = tuple(dims)
     for attempt in range(budget):
         rng = spawn_rng(seed, attempt)
         dim = dims[attempt % len(dims)]
-        if relaxation is None:
-            relation = None
-        elif relaxation == "equal-sum":
-            relation = SumRelation.SUM_LEQ if attempt % 2 == 0 else SumRelation.SUM_GEQ
-        else:
-            relation = _RELAX_RELATION[relaxation]
+        relation = _RELAX_RELATION.get(relaxation)
+        if relaxation == "equal-sum":
+            relation = (SumRelation.SUM_LEQ, SumRelation.SUM_GEQ)[attempt % 2]
         inst = sample_instance_for(spec, f, dim, m, M, rng, relation=relation)
         maps = sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
         chain = build_chain(spec.id, inst, f, maps, relaxed=relaxation, tol=tol)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when everything holds (or no counterexample was found),
 1 when a chain fails or a counterexample is found, 2 on configuration or
-input errors.
+input errors and on an unexpected built-in error (a bug, or input that
+slipped past validation).
 """
 
 from __future__ import annotations
@@ -16,9 +17,15 @@ from .campaign import CampaignConfig, emit_report, run_campaign
 from .chains import build_chain, evaluate_chain, hunt_counterexample, resolve_theorem
 from .errors import IoError, LoewnerLabError
 from .functions import parse_function_spec
+from .hermitian import check_tolerance
 from .instances import instance_from_dict
 from .maps import sample_map
 from .serialize import dumps_canonical
+
+
+# Exceptions of other classes propagate to in-process callers of ``main``.
+_BUILTIN_ERRORS = (ArithmeticError, AttributeError, LookupError, OSError, RuntimeError,
+                   TypeError, ValueError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,6 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    check_tolerance(args.tol)
     spec = resolve_theorem(args.theorem)
     f = parse_function_spec(args.function)
     try:
@@ -148,11 +156,10 @@ def main(argv=None) -> int:
     except LoewnerLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _BUILTIN_ERRORS as exc:  # exit 1 is reserved for failing chains
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return 2
-
-
-def cli_main(argv=None) -> int:
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -67,7 +67,8 @@ class UnknownTheorem(LoewnerLabError):
 
 
 class ConfigError(LoewnerLabError):
-    """Invalid campaign configuration; message carries the field path."""
+    """Invalid configuration value (campaign field, command-line option or
+    tolerance); the message names the field."""
 
 
 class IoError(LoewnerLabError):

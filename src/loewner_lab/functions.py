@@ -26,15 +26,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .errors import DegenerateInterval, DivisionByZero, DomainViolation, SpecParseError
+from .hermitian import EQUALITY_TOL
 
 LOG_CONVEX = "log-convex"
 CONVEX = "convex"
 SUPERQUADRATIC = "superquadratic"
 NON_NEGATIVE = "non-negative"
-
-# A scalar link counts as an equality when the sides agree to this, relative
-# to max(1, |lhs|, |rhs|).
-EQUALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)

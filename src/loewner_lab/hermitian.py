@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation, NonConvergence, NotHermitian
+from .errors import ConfigError, DimensionMismatch, DomainViolation, NonConvergence, NotHermitian
 
 # Construction-time symmetrization rejects asymmetry above this, relative to ||A||_F.
 HERMITIAN_ASYM_TOL = 1e-12
@@ -337,6 +337,12 @@ def spectral_bounds(matrix: HermitianMatrix) -> tuple[float, float]:
     return float(lam[0]), float(lam[-1])
 
 
+def check_tolerance(tol: float) -> None:
+    """A PSD tolerance must be a finite number >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"tol: must be a finite number >= 0, got {tol!r}")
+
+
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_PSD_TOL) -> LoewnerVerdict:
     """Compare A and B in the Loewner order via the spectrum of B - A.
 
@@ -345,8 +351,7 @@ def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_PSD
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    check_tolerance(tol)
     diff = b - a
     lam = eigenvalues_of(diff)
     lo, hi = float(lam[0]), float(lam[-1])

@@ -28,7 +28,7 @@ from .hermitian import (
     positive_part,
     spectral_bounds,
 )
-from .maps import MapFamily, haar_unitary, parse_family_spec, sample_map_family
+from .maps import MapFamily, parse_family_spec, random_isometry, sample_map_family
 from .seeding import as_generator
 from .serialize import digest
 
@@ -244,20 +244,16 @@ def sample_sandwiched_matrix(dim: int, lo: float, hi: float, seed) -> HermitianM
     lam = rng.uniform(lo, hi, size=dim)
     if dim == 1:
         return HermitianMatrix([[lam[0]]])
-    u = haar_unitary(dim, rng)
+    u = random_isometry(dim, dim, rng)
     return HermitianMatrix((u * lam) @ u.conj().T)
 
 
 def _sample_psd_bounded(dim: int, max_norm: float, rng: np.random.Generator) -> HermitianMatrix:
     """PSD matrix with operator norm at most max_norm (eigenvalues uniform
-    in [0, max_norm])."""
+    in [0, max_norm]); a non-positive cap gives zero and draws nothing."""
     if max_norm <= 0.0:
         return HermitianMatrix.zero(dim)
-    lam = rng.uniform(0.0, max_norm, size=dim)
-    if dim == 1:
-        return HermitianMatrix([[lam[0]]])
-    u = haar_unitary(dim, rng)
-    return HermitianMatrix((u * lam) @ u.conj().T)
+    return sample_sandwiched_matrix(dim, 0.0, max_norm, rng)
 
 
 def default_q_scale(m: float, M: float) -> float:
@@ -294,8 +290,8 @@ def sample_quadruple(
     eye = HermitianMatrix.identity(dim)
 
     for _ in range(MAX_RETRIES):
-        B = _sample_psd_shifted(dim, m, M, rng)
-        C = _sample_psd_shifted(dim, m, M, rng)
+        B = sample_sandwiched_matrix(dim, m, M, rng)
+        C = sample_sandwiched_matrix(dim, m, M, rng)
         S = B + C
 
         if relation is SumRelation.EQUAL:
@@ -329,10 +325,6 @@ def sample_quadruple(
         f"could not satisfy {relation.value} with nonneg_A={nonneg_A} at dim {dim}, "
         f"m={m}, M={M} within {MAX_RETRIES} attempts"
     )
-
-
-def _sample_psd_shifted(dim: int, lo: float, hi: float, rng) -> HermitianMatrix:
-    return sample_sandwiched_matrix(dim, lo, hi, rng)
 
 
 def _shift_cap(p0: HermitianMatrix, m: float, q_scale: float, nonneg: bool) -> float | None:

@@ -194,10 +194,6 @@ class MapFamily:
         return f"family:n={self.size}"
 
 
-def apply_map(phi: PositiveUnitalMap, matrix: HermitianMatrix) -> HermitianMatrix:
-    return phi.apply(matrix)
-
-
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
@@ -262,16 +258,9 @@ def _random_psd(dim: int, rng: np.random.Generator) -> HermitianMatrix:
     return HermitianMatrix(g @ g.conj().T)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormalized Gaussian columns with phase-fixed R diagonal."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return q
-
-
 def random_isometry(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormalized Gaussian columns with phase-fixed R diagonal; Haar
+    distributed unitary when k == dim."""
     z = (rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diag(r)

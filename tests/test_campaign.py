@@ -47,6 +47,9 @@ def test_config_roundtrip_and_validation():
         ({"function_specs": ["mystery"]}, "function_specs"),
         ({"mm_ranges": [[2.0, 1.0]]}, "mm_ranges"),
         ({"mm_ranges": []}, "mm_ranges"),
+        ({"tol": float("nan")}, "tol"),
+        ({"instances_per_cell": True}, "instances_per_cell"),
+        ({"mm_ranges": [[0.5, float("nan")]]}, "mm_ranges"),
     ],
 )
 def test_config_rejects_bad_values(patch, fragment):

@@ -17,6 +17,7 @@ from loewner_lab.errors import (
     UnknownTheorem,
 )
 from loewner_lab.chains import (
+    RELAXATIONS,
     THEOREMS,
     baseline_chain,
     build_chain,
@@ -409,3 +410,54 @@ def test_hunt_deterministic():
     assert a is not None and b is not None
     assert a.attempt_index == b.attempt_index
     assert a.instance.digest() == b.instance.digest()
+
+
+# -- the term table -------------------------------------------------------------
+
+
+def _fitting_function(spec):
+    if spec.power_predicate is not None and "p <= 0" in spec.power_description:
+        return power_function(-1)
+    if spec.required_class == "superquadratic" or spec.power_predicate is not None:
+        return power_function(2)
+    return exp_function()
+
+
+@pytest.mark.parametrize("relaxed", RELAXATIONS)
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_build_and_hunt_share_the_relaxation_rule(tid, relaxed):
+    spec = THEOREMS[tid]
+    f = _fitting_function(spec)
+    inst = sample_instance_for(spec, f, 1, 1.0, 2.0, spawn_rng(5, 0))
+    maps = IdentityMap(1) if spec.map_mode == "single" else None
+
+    def accepts(call):
+        try:
+            call()
+        except UnknownRelaxation:
+            return False
+        except HypothesisViolation:  # a later check on the instance, not the rule
+            pass
+        return True
+
+    built = accepts(lambda: build_chain(tid, inst, f, maps, relaxed=relaxed))
+    hunted = accepts(lambda: hunt_counterexample(tid, relaxed, 0, 0, f))
+    assert built == hunted == (relaxed in spec.relaxations)
+
+
+def test_base_labels_name_exactly_the_stripped_terms():
+    for tid, spec in THEOREMS.items():
+        ends = (spec.terms[0], spec.terms[-1])
+        for term, base in zip(ends, spec.baseline_terms):
+            assert (base.atoms != term.atoms) == (term.base is not None), (tid, term.label)
+            assert base.label == (term.base or term.label)
+
+
+def test_sq_mercer_baseline_is_jm_base():
+    f = power_function(2)
+    inst = sample_mercer_family(3, 3, 0.5, 2.0, seed=8)
+    sq = baseline_chain("sq-mercer", inst, f)
+    jm = build_chain("jm-base", inst, f)
+    assert sq.labels == jm.labels
+    for a, b in zip(sq.terms, jm.terms):
+        assert np.array_equal(a.entries, b.entries)

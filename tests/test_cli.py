@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+import loewner_lab.chains as chains
+import loewner_lab.cli as cli
 from loewner_lab.cli import main
 from loewner_lab.instances import SumRelation, sample_quadruple
 
@@ -148,3 +152,67 @@ def test_hunt_unknown_relaxation_exit_2(capsys):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+# -- malformed input: typed error, exit 2, nothing sampled ----------------------
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the input")
+
+    monkeypatch.setattr(chains, "sample_instance_for", refuse)
+    monkeypatch.setattr(cli, "sample_map", refuse)
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--tol", "-1"], "tol"),
+    (["--tol", "nan"], "tol"),
+    (["--budget", "-5"], "budget"),
+    (["--m", "2.0", "--M", "2.0"], "m < M"),
+])
+def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
+    rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert fragment in captured.err
+
+
+def test_verify_negative_tol_exit_2(tmp_path, no_sampling, capsys):
+    path = write_json(tmp_path / "q.json", WORKED_INSTANCE)
+    rc = main(["verify", "--theorem", "lc-map", "--instance", path,
+               "--function", "exp", "--tol", "-1"])
+    assert rc == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_verify_degenerate_interval_exit_2(tmp_path, capsys):
+    inst = dict(WORKED_INSTANCE, m=2.0, M=2.0)
+    inst["B"] = inst["C"] = {"dim": 1, "re": [[2.0]]}
+    path = write_json(tmp_path / "flat.json", inst)
+    rc = main(["verify", "--theorem", "lc-quad", "--instance", path, "--function", "exp"])
+    assert rc == 2
+    assert "m < M" in capsys.readouterr().err
+
+
+def test_campaign_nan_tol_exit_2(tmp_path, capsys):
+    cfg = campaign_config()
+    cfg["tol"] = float("nan")
+    path = write_json(tmp_path / "c.json", cfg)
+    rc = main(["campaign", "--config", path, "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "tol" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ZeroDivisionError, KeyError])
+def test_unexpected_error_exit_2_not_1(error, monkeypatch, capsys):
+    def broken(theorem_id):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "resolve_theorem", broken)
+    rc = main(["verify", "--theorem", "lc-quad", "--instance", "x.json", "--function", "exp"])
+    assert rc == 2
+    assert error.__name__ in capsys.readouterr().err

@@ -10,7 +10,6 @@ from loewner_lab.maps import (
     IdentityMap,
     MixedUnitaryMap,
     PinchingMap,
-    apply_map,
     sample_map,
     sample_map_family,
     verify_unital,
@@ -19,14 +18,14 @@ from loewner_lab.maps import (
 
 def test_pinching_singletons_extracts_diagonal():
     phi = PinchingMap(2, ((0,), (1,)))
-    out = apply_map(phi, HermitianMatrix([[1, 2], [2, 5]]))
+    out = phi.apply(HermitianMatrix([[1, 2], [2, 5]]))
     assert np.allclose(out.entries, np.diag([1.0, 5.0]))
 
 
 def test_compression_to_first_basis_vector():
     v = np.array([[1.0], [0.0]])
     phi = CompressionMap(v)
-    out = apply_map(phi, HermitianMatrix([[1, 2], [2, 5]]))
+    out = phi.apply(HermitianMatrix([[1, 2], [2, 5]]))
     assert out.dim == 1
     assert out.entries[0, 0] == pytest.approx(1.0)
 
@@ -34,13 +33,13 @@ def test_compression_to_first_basis_vector():
 def test_mixed_unitary_average_with_swap():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     phi = MixedUnitaryMap([0.5, 0.5], [np.eye(2), swap])
-    out = apply_map(phi, HermitianMatrix.diagonal([1.0, 5.0]))
+    out = phi.apply(HermitianMatrix.diagonal([1.0, 5.0]))
     assert np.allclose(out.entries, np.diag([3.0, 3.0]))
 
 
 def test_apply_map_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        apply_map(IdentityMap(2), HermitianMatrix.identity(3))
+        IdentityMap(2).apply(HermitianMatrix.identity(3))
 
 
 def test_verify_unital_identity():
