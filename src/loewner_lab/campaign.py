@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import ConfigError, IoError, LoewnerLabError, SpecParseError
+from .errors import ConfigError, IoError, LoewnerLabError, SpecParseError, UnknownKind
 from .chains import (
     THEOREMS,
     build_chain,
@@ -25,7 +25,8 @@ from .chains import (
     sample_instance_for,
 )
 from .functions import parse_function_spec
-from .maps import parse_family_spec, sample_map
+from .hermitian import MAX_DIM
+from .maps import parse_family_spec, parse_map_spec, sample_map
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
 
@@ -60,11 +61,11 @@ class CampaignConfig:
             theorem_ids=tuple(str(t) for t in _require_list(obj, "theorem_ids")),
             function_specs=tuple(str(s) for s in _require_list(obj, "function_specs")),
             map_specs=tuple(str(s) for s in _require_list(obj, "map_specs")),
-            dims=tuple(obj["dims"]) if isinstance(obj.get("dims"), (list, tuple)) else _bad("dims"),
+            dims=tuple(_require_list(obj, "dims")),
             mm_ranges=tuple(tuple(r) for r in _require_list(obj, "mm_ranges")),
             instances_per_cell=obj["instances_per_cell"],
             tol=obj["tol"],
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
         )
         cfg.validate()
         return cfg
@@ -84,11 +85,17 @@ class CampaignConfig:
                 raise ConfigError(f"function_specs: {exc}") from None
         if not self.map_specs:
             raise ConfigError("map_specs: must be non-empty")
+        for s in self.map_specs:
+            parse = parse_family_spec if s.startswith("family") else parse_map_spec
+            try:
+                parse(s)
+            except (SpecParseError, UnknownKind) as exc:
+                raise ConfigError(f"map_specs: {exc}") from None
         if not self.dims:
             raise ConfigError("dims: must be non-empty")
         for d in self.dims:
-            if not _is_int(d) or d < 1:
-                raise ConfigError(f"dims: entries must be integers >= 1, got {d!r}")
+            if not _is_int(d) or not 1 <= d <= MAX_DIM:
+                raise ConfigError(f"dims: entries must be integers in 1..{MAX_DIM}, got {d!r}")
         if not self.mm_ranges:
             raise ConfigError("mm_ranges: must be non-empty")
         for r in self.mm_ranges:
@@ -100,6 +107,8 @@ class CampaignConfig:
             )
         if not _is_real(self.tol) or self.tol <= 0:
             raise ConfigError(f"tol: must be a finite number > 0, got {self.tol!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -127,10 +136,6 @@ def _require_list(obj, key):
     if not isinstance(v, (list, tuple)):
         raise ConfigError(f"{key}: must be a list")
     return v
-
-
-def _bad(key):
-    raise ConfigError(f"{key}: must be a list")
 
 
 @dataclass(frozen=True)
@@ -193,29 +198,20 @@ class CampaignReport:
 
 
 def _cell_skip_reason(spec, f, map_spec: str, dim: int, ranges) -> str | None:
-    if spec.required_class not in f.classes:
+    """Why the cell cannot run; map specs are already validated."""
+    unmet = spec.unmet_function_class(f)
+    if unmet == spec.required_class:
         return "function class mismatch"
-    if spec.power_predicate is not None:
-        p = f.params.get("p")
-        if p is None or not spec.power_predicate(p):
-            return f"function is not {spec.power_description}"
+    if unmet is not None:
+        return f"function is not {unmet}"
     if spec.map_mode == "single":
         if map_spec.startswith("family"):
             return "needs a single map, not a family"
-        if map_spec.startswith("compression:"):
-            try:
-                k = int(map_spec.split("=", 1)[1])
-            except (IndexError, ValueError):
-                return f"bad map spec {map_spec!r}"
-            if k > dim:
-                return f"compression k={k} exceeds dim {dim}"
-    elif spec.map_mode == "family":
-        if not map_spec.startswith("family"):
-            return "needs a map family"
-        try:
-            parse_family_spec(map_spec)
-        except SpecParseError as exc:
-            return str(exc)
+        k = parse_map_spec(map_spec)[1].get("k", 1)
+        if k > dim:
+            return f"compression k={k} exceeds dim {dim}"
+    elif spec.map_mode == "family" and not map_spec.startswith("family"):
+        return "needs a map family"
     if not _compatible_ranges(spec, f, ranges):
         return "no compatible (m, M) range for this function"
     return None

@@ -66,7 +66,7 @@ from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_sc
 from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
                         QuadrupleInstance, SumRelation, sample_mercer_family, sample_midpoint,
                         sample_quadruple, sample_quadruple_family, validate_instance)
-from .maps import MapFamily, PositiveUnitalMap, sample_map
+from .maps import MapFamily, PositiveUnitalMap, parse_map_spec, sample_map
 from .seeding import spawn_rng
 
 RELAXATIONS = ("cond-i-f", "cond-i-sum", "cond-ii-f", "cond-ii-sum", "equal-sum")
@@ -445,7 +445,7 @@ class _Evaluator:
 class TheoremSpec:
     id: str
     description: str
-    instance_kind: str  # quadruple | multi | mercer | midpoint
+    instance_kind: type  # the instance class the theorem is stated on
     map_mode: str  # none | single | family
     required_class: str
     condition: str  # equal-sum | either-condition | none
@@ -462,6 +462,16 @@ class TheoremSpec:
         if self.condition == "either-condition":
             return RELAXATIONS[:4]
         return ()
+
+    def unmet_function_class(self, f: FunctionDescriptor) -> str | None:
+        """What f fails to be among the function hypotheses: the required
+        class, else the power condition; None when f qualifies."""
+        if self.required_class not in f.classes:
+            return self.required_class
+        p = f.params.get("p")
+        if self.power_predicate is not None and (p is None or not self.power_predicate(p)):
+            return self.power_description
+        return None
 
     @property
     def baseline_terms(self) -> tuple:
@@ -490,24 +500,25 @@ _SQ_MAP = (
 
 THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
     TheoremSpec(
-        "JM-BASE", "two-term Mercer baseline for convex f", "mercer", "family", CONVEX, "none", (
+        "JM-BASE", "two-term Mercer baseline for convex f",
+        MercerInstance, "family", CONVEX, "none", (
             T("f(W)", (1, OUT, F, "(M+m)I-B")),
             T("f(m)+f(M) - S_i P_i(f(B_i))", *_F_M_PLUS_F_M, (-1, IN, F, "B")))),
     TheoremSpec(
         "MOS-BASE", "two-term map baseline for convex f",
-        "quadruple", "single", CONVEX, "equal-sum", (
+        QuadrupleInstance, "single", CONVEX, "equal-sum", (
             T("f(P(B))+f(P(C))", (1, OUT, F, "B"), (1, OUT, F, "C")),
             T("P(f(A))+P(f(D))", (1, IN, F, "A"), (1, IN, F, "D")))),
     TheoremSpec(
         "LC-QUAD", "five-term log-convex chain, no maps",
-        "quadruple", "none", LOG_CONVEX, "either-condition", _LC_QUAD),
+        QuadrupleInstance, "none", LOG_CONVEX, "either-condition", _LC_QUAD),
     TheoremSpec(
         "LC-POW", "LC-QUAD specialized to t^p with p <= 0",
-        "quadruple", "none", LOG_CONVEX, "either-condition", _LC_QUAD,
+        QuadrupleInstance, "none", LOG_CONVEX, "either-condition", _LC_QUAD,
         power_predicate=lambda p: p <= 0, power_description="a power with p <= 0"),
     TheoremSpec(
         "LC-MID", "five-term log-convex chain at the midpoint pair",
-        "midpoint", "none", LOG_CONVEX, "none", (
+        MidpointInstance, "none", LOG_CONVEX, "none", (
             T("f(W)", (1, DIR, F, "W")),
             T("g(W)", (1, DIR, G, "W")),
             T("chord(W)", ("slope", DIR, ID, "W"), (1, DIR, CONST, "intercept")),
@@ -515,7 +526,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("(f(A)+f(D))/2", (0.5, ((1, DIR, F, "A"), (1, DIR, F, "D")))))),
     TheoremSpec(
         "LC-MAP", "five-term log-convex chain, map inside on B,C side",
-        "quadruple", "single", LOG_CONVEX, "equal-sum", (
+        QuadrupleInstance, "single", LOG_CONVEX, "equal-sum", (
             T("P(f(B))+P(f(C))", (1, IN, F, "B"), (1, IN, F, "C")),
             T("P(g(B))+P(g(C))", (1, IN, G, "B"), (1, IN, G, "C")),
             T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
@@ -523,7 +534,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("f(P(A))+f(P(D))", (1, OUT, F, "A"), (1, OUT, F, "D")))),
     TheoremSpec(
         "LC-MAP-V2", "five-term log-convex chain, map outside on B,C side",
-        "quadruple", "single", LOG_CONVEX, "equal-sum", (
+        QuadrupleInstance, "single", LOG_CONVEX, "equal-sum", (
             T("f(P(B))+f(P(C))", (1, OUT, F, "B"), (1, OUT, F, "C")),
             T("g(P(B))+g(P(C))", (1, OUT, G, "B"), (1, OUT, G, "C")),
             T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
@@ -531,7 +542,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("P(f(A))+P(f(D))", (1, IN, F, "A"), (1, IN, F, "D")))),
     TheoremSpec(
         "LC-MAP-V3", "five-term log-convex chain, mixed placement",
-        "quadruple", "single", LOG_CONVEX, "equal-sum", (
+        QuadrupleInstance, "single", LOG_CONVEX, "equal-sum", (
             T("P(f(B))+f(P(C))", (1, IN, F, "B"), (1, OUT, F, "C")),
             T("P(g(B))+g(P(C))", (1, IN, G, "B"), (1, OUT, G, "C")),
             T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
@@ -539,7 +550,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("f(P(A))+P(f(D))", (1, OUT, F, "A"), (1, IN, F, "D")))),
     TheoremSpec(
         "LC-MULTI", "five-term log-convex chain over a map family",
-        "multi", "family", LOG_CONVEX, "none", (
+        MultiQuadrupleInstance, "family", LOG_CONVEX, "none", (
             T("S_i P_i(f(B_i)) + f(S_i P_i(C_i))", (1, IN, F, "B"), (1, OUT, F, "C")),
             T("S_i P_i(g(B_i)) + g(S_i P_i(C_i))", (1, IN, G, "B"), (1, OUT, G, "C")),
             T("chord(S_i P_i(B_i+C_i))",
@@ -548,20 +559,20 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("f(S_i P_i(A_i)) + S_i P_i(f(D_i))", (1, OUT, F, "A"), (1, IN, F, "D")))),
     TheoremSpec(
         "LC-MERCER", "three-term Mercer interpolation for log-convex f",
-        "mercer", "family", LOG_CONVEX, "none", (
+        MercerInstance, "family", LOG_CONVEX, "none", (
             T("S_i P_i(f(B_i)) + f(W)", (1, IN, F, "B"), (1, OUT, F, "(M+m)I-B")),
             T("S_i P_i(g(B_i)) + g(W)", (1, IN, G, "B"), (1, OUT, G, "(M+m)I-B")),
             T("f(m)+f(M)", *_F_M_PLUS_F_M))),
     TheoremSpec(
         "SQ-MAP", "superquadratic refinement, map inside",
-        "quadruple", "single", SUPERQUADRATIC, "equal-sum", _SQ_MAP, needs_nonneg=True),
+        QuadrupleInstance, "single", SUPERQUADRATIC, "equal-sum", _SQ_MAP, needs_nonneg=True),
     TheoremSpec(
         "SQ-POW", "SQ-MAP specialized to t^p with p >= 2",
-        "quadruple", "single", SUPERQUADRATIC, "equal-sum", _SQ_MAP, needs_nonneg=True,
+        QuadrupleInstance, "single", SUPERQUADRATIC, "equal-sum", _SQ_MAP, needs_nonneg=True,
         power_predicate=lambda p: p >= 2, power_description="a power with p >= 2"),
     TheoremSpec(
         "SQ-MAP-V2", "superquadratic refinement, map outside",
-        "quadruple", "single", SUPERQUADRATIC, "equal-sum", (
+        QuadrupleInstance, "single", SUPERQUADRATIC, "equal-sum", (
             T("P(f(B))+P(f(C))", (1, IN, F, "B"), (1, IN, F, "C")),
             T("f(P(A))+f(P(D)) - penalties", (1, OUT, F, "A"), (1, OUT, F, "D"),
               (-1, IN, H, "B"), (-1, IN, H, "C"),
@@ -573,7 +584,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
     # mirror that pairing.
     TheoremSpec(
         "SQ-MAP-V3", "superquadratic refinement, mixed placement",
-        "quadruple", "single", SUPERQUADRATIC, "equal-sum", (
+        QuadrupleInstance, "single", SUPERQUADRATIC, "equal-sum", (
             T("f(P(B))+P(f(C))", (1, OUT, F, "B"), (1, IN, F, "C")),
             T("P(f(A))+f(P(D)) - penalties", (1, IN, F, "A"), (1, OUT, F, "D"),
               (-1, OUT, H, "B"), (-1, IN, H, "C"),
@@ -582,7 +593,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
         needs_nonneg=True),
     TheoremSpec(
         "SQ-MULTI-A", "superquadratic family refinement, combinations outside",
-        "multi", "family", SUPERQUADRATIC, "none", (
+        MultiQuadrupleInstance, "family", SUPERQUADRATIC, "none", (
             T("f(Bbar)+f(Cbar) + penalties", (1, OUT, F, "B"), (1, OUT, F, "C"),
               (1, OUT, H, "B"), (1, OUT, H, "C"), base="f(Bbar)+f(Cbar)"),
             T("S_i P_i(f(A_i))+S_i P_i(f(D_i)) - penalties", (1, IN, F, "A"), (1, IN, F, "D"),
@@ -592,7 +603,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
         needs_nonneg=True),
     TheoremSpec(
         "SQ-MULTI-B", "superquadratic family refinement, mixed placement",
-        "multi", "family", SUPERQUADRATIC, "none", (
+        MultiQuadrupleInstance, "family", SUPERQUADRATIC, "none", (
             T("S_i P_i(f(B_i)) + f(Cbar) + penalties", (1, IN, F, "B"), (1, OUT, F, "C"),
               (1, IN, H, "B"), (1, OUT, H, "C"), base="S_i P_i(f(B_i))+f(Cbar)"),
             T("f(Abar) + S_i P_i(f(D_i)) - penalties", (1, OUT, F, "A"), (1, IN, F, "D"),
@@ -601,7 +612,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
         needs_nonneg=True),
     TheoremSpec(
         "SQ-MERCER", "superquadratic Mercer refinement",
-        "mercer", "family", SUPERQUADRATIC, "none", (
+        MercerInstance, "family", SUPERQUADRATIC, "none", (
             T("f(W) + penalties", (1, OUT, F, "(M+m)I-B"), (1, IN, H, "B"),
               (1, OUT, H, "(M+m)I-B"), base="f(W)"),
             T("f(m)+f(M)-2f(0) - S_i P_i(f(B_i))", *_F_M_PLUS_F_M,
@@ -610,7 +621,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
         needs_nonneg=True),
     TheoremSpec(
         "SQ-QUAD", "superquadratic refinement under condition (i)/(ii)",
-        "quadruple", "none", SUPERQUADRATIC, "either-condition", (
+        QuadrupleInstance, "none", SUPERQUADRATIC, "either-condition", (
             T("f(B)+f(C) + penalties", (1, DIR, F, "B"), (1, DIR, F, "C"),
               (1, DIR, H, "B"), (1, DIR, H, "C"), base="f(B)+f(C)"),
             T("f(A)+f(D) - penalties", (1, DIR, F, "A"), (1, DIR, F, "D"),
@@ -618,20 +629,13 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
         needs_nonneg=True),
     TheoremSpec(
         "SQ-MID", "superquadratic refinement at the midpoint pair",
-        "midpoint", "none", SUPERQUADRATIC, "none", (
+        MidpointInstance, "none", SUPERQUADRATIC, "none", (
             T("f(W) + penalty", (1, DIR, F, "W"), (1, DIR, H, "W"), base="f(W)"),
             T("(f(A)+f(D))/2 - penalties",
               (0.5, ((1, DIR, F, "A"), (1, DIR, F, "D"), (-1, _OUTER_DIR))),
               base="(f(A)+f(D))/2")),
         needs_nonneg=True),
 )}
-
-_KIND_TYPES = {
-    "quadruple": QuadrupleInstance,
-    "multi": MultiQuadrupleInstance,
-    "mercer": MercerInstance,
-    "midpoint": MidpointInstance,
-}
 
 
 def resolve_theorem(theorem_id: str) -> TheoremSpec:
@@ -644,9 +648,8 @@ def resolve_theorem(theorem_id: str) -> TheoremSpec:
 def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
                       tol: float, relaxed: str | None) -> None:
     check_tolerance(tol)
-    expected = _KIND_TYPES[spec.instance_kind]
-    if not isinstance(inst, expected):
-        raise ShapeMismatch(f"{spec.id} expects a {expected.__name__}, "
+    if not isinstance(inst, spec.instance_kind):
+        raise ShapeMismatch(f"{spec.id} expects a {spec.instance_kind.__name__}, "
                             f"got {type(inst).__name__}")
     if not inst.m < inst.M:
         raise DegenerateInterval(f"need m < M, got m={inst.m!r}, M={inst.M!r}")
@@ -654,12 +657,9 @@ def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
     if violations:
         raise HypothesisViolation("instance invariants", violations[0])
     _check_relaxation(spec, relaxed)
-    if spec.required_class not in f.classes:
-        raise HypothesisViolation("function class mismatch", f"{f.id} is not {spec.required_class}")
-    p = f.params.get("p")
-    if spec.power_predicate is not None and (p is None or not spec.power_predicate(p)):
-        raise HypothesisViolation("function class mismatch",
-                                  f"{f.id} is not {spec.power_description}")
+    unmet = spec.unmet_function_class(f)
+    if unmet is not None:
+        raise HypothesisViolation("function class mismatch", f"{f.id} is not {unmet}")
     if spec.needs_nonneg:
         if inst.m < 0:
             raise HypothesisViolation("0 <= m", f"m = {inst.m}")
@@ -732,18 +732,16 @@ def sample_instance_for(spec: TheoremSpec, f: FunctionDescriptor, dim: int,
                         relation: SumRelation | None = None):
     """Sample an instance matching the theorem's shape and hypotheses."""
     nonneg = needs_nonneg_instances(spec, f)
-    if spec.instance_kind == "quadruple":
+    if spec.instance_kind is QuadrupleInstance:
         if relation is None:
             relation = (SumRelation.EQUAL if spec.condition == "equal-sum"
                         else condition_relation(f, m, M))
         return sample_quadruple(dim, m, M, relation, nonneg_A=nonneg, seed=rng)
-    if spec.instance_kind == "multi":
+    if spec.instance_kind is MultiQuadrupleInstance:
         return sample_quadruple_family(family_size, dim, m, M, nonneg_A=nonneg, seed=rng)
-    if spec.instance_kind == "mercer":
+    if spec.instance_kind is MercerInstance:
         return sample_mercer_family(family_size, dim, m, M, seed=rng)
-    if spec.instance_kind == "midpoint":
-        return sample_midpoint(dim, m, M, nonneg_A=nonneg, seed=rng)
-    raise ShapeMismatch(f"no sampler for instance kind {spec.instance_kind}")
+    return sample_midpoint(dim, m, M, nonneg_A=nonneg, seed=rng)
 
 
 _RELAX_RELATION = {
@@ -781,6 +779,8 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     check_tolerance(tol)
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
+    if spec.map_mode == "single":
+        parse_map_spec(map_spec)
     dims = tuple(dims)
     for attempt in range(budget):
         rng = spawn_rng(seed, attempt)

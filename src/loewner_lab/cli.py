@@ -15,9 +15,9 @@ import sys
 from . import __version__
 from .campaign import CampaignConfig, emit_report, run_campaign
 from .chains import build_chain, evaluate_chain, hunt_counterexample, resolve_theorem
-from .errors import IoError, LoewnerLabError
+from .errors import ConfigError, IoError, LoewnerLabError
 from .functions import parse_function_spec
-from .hermitian import check_tolerance
+from .hermitian import MAX_DIM, check_tolerance
 from .instances import instance_from_dict
 from .maps import sample_map
 from .serialize import dumps_canonical
@@ -111,8 +111,8 @@ def _cmd_campaign(args) -> int:
 def _cmd_hunt(args) -> int:
     f = parse_function_spec(args.function)
     dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
-    if not dims or any(d < 1 for d in dims):
-        raise LoewnerLabError(f"bad --dims value {args.dims!r}")
+    if not dims or any(not 1 <= d <= MAX_DIM for d in dims):
+        raise ConfigError(f"--dims: entries must be integers in 1..{MAX_DIM}, got {args.dims!r}")
     result = hunt_counterexample(
         args.theorem, args.relax, args.budget, args.seed, f,
         map_spec=args.map, dims=dims, m=args.m, M=args.M, tol=args.tol,

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, DomainViolation, NonConvergence, NotHermitian
 
+# The supported dimensions are 1..MAX_DIM; files and configs beyond it are rejected.
+MAX_DIM = 16
 # Construction-time symmetrization rejects asymmetry above this, relative to ||A||_F.
 HERMITIAN_ASYM_TOL = 1e-12
 # Jacobi convergence: off-diagonal Frobenius norm <= JACOBI_CONV_TOL * ||A||_F.
@@ -48,7 +50,7 @@ class HermitianMatrix:
     """Immutable dense complex Hermitian matrix.
 
     Entries are symmetrized as (A + A*)/2 on construction.  ``strict=True``
-    additionally rejects input whose asymmetry exceeds
+    additionally rejects non-finite entries and input whose asymmetry exceeds
     ``HERMITIAN_ASYM_TOL * ||A||_F``; use it for data read from files, where
     silent symmetrization would mask genuinely non-Hermitian input.
     """
@@ -62,6 +64,8 @@ class HermitianMatrix:
         if arr.shape[0] < 1:
             raise DimensionMismatch("dimension must be >= 1")
         if strict:
+            if not np.all(np.isfinite(arr)):
+                raise NotHermitian("entries must be finite numbers")
             fro = float(np.linalg.norm(arr))
             asym = float(np.linalg.norm(arr - arr.conj().T))
             if asym > HERMITIAN_ASYM_TOL * max(fro, 1e-300):
@@ -105,10 +109,6 @@ class HermitianMatrix:
     def __neg__(self) -> "HermitianMatrix":
         return HermitianMatrix(-self._entries)
 
-    def shift(self, c: float) -> "HermitianMatrix":
-        """self + c*I."""
-        return HermitianMatrix(self._entries + float(c) * np.eye(self.dim))
-
     def _check_dim(self, other: "HermitianMatrix") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
@@ -139,6 +139,8 @@ class HermitianMatrix:
         if not isinstance(obj, dict) or "dim" not in obj or "re" not in obj:
             raise NotHermitian('matrix object must carry "dim" and "re" keys')
         dim = int(obj["dim"])
+        if not 1 <= dim <= MAX_DIM:
+            raise DimensionMismatch(f"dim must be in 1..{MAX_DIM}, got {dim}")
         re = np.asarray(obj["re"], dtype=float)
         if re.shape != (dim, dim):
             raise DimensionMismatch(f'"re" must be {dim}x{dim}, got {re.shape}')

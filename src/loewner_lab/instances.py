@@ -33,6 +33,11 @@ from .seeding import as_generator
 from .serialize import digest
 
 MAX_RETRIES = 1000
+# A family's unit images must sum to I within this Frobenius distance.
+UNIT_SUM_TOL = 1e-12
+# Spread of A below m and D above M as a share of M - m: a quarter interval
+# width keeps chain gaps well-scaled.
+SHIFT_SHARE = 0.25
 
 
 class SumRelation(enum.Enum):
@@ -48,8 +53,71 @@ class SumRelation(enum.Enum):
         raise ShapeMismatch(f"unknown sum relation {s!r}")
 
 
+class _Instance:
+    """Behaviour shared by every instance kind."""
+
+    def digest(self) -> str:
+        return digest(self.to_dict())
+
+    def _bound_violations(self, name: str, mat: HermitianMatrix, tol: float, lower=None,
+                          upper=None, nonneg: bool = False) -> list[str]:
+        """Violations of lower <= X <= upper, each bound the name of the
+        field m or M (or None), and with ``nonneg`` of X >= 0; checked in
+        that order at a tolerance relative to max(1, |m|, |M|)."""
+        eps = tol * max(1.0, abs(self.m), abs(self.M))
+        lo, hi = spectral_bounds(mat)
+        out = []
+        if lower is not None and lo < getattr(self, lower) - eps:
+            out.append(f"lambda_min({name}) < {lower}: {lo!r} < {getattr(self, lower)!r}")
+        if upper is not None and hi > getattr(self, upper) + eps:
+            out.append(f"lambda_max({name}) > {upper}: {hi!r} > {getattr(self, upper)!r}")
+        if nonneg and lo < -eps:
+            out.append(f"lambda_min({name}) < 0: {lo!r}")
+        return out
+
+
+@dataclass(frozen=True, kw_only=True)
+class _FamilyInstance(_Instance):
+    """An instance carrying a map family, recorded in files as the
+    ``(family_spec, family_seed)`` pair it is realized from."""
+
+    family: MapFamily
+    family_spec: str = ""
+    family_seed: int = 0
+
+    def _family_fields(self) -> dict:
+        return {"family": self.family_spec or f"family:n={self.size}",
+                "family_seed": int(self.family_seed)}
+
+    @staticmethod
+    def _family_from_dict(obj: dict, members: tuple, noun: str) -> dict:
+        spec = obj.get("family", f"family:n={len(members)}")
+        seed = int(obj.get("family_seed", 0))
+        n = parse_family_spec(spec)
+        if n != len(members):
+            raise ShapeMismatch(f"family size {n} does not match {len(members)} {noun}")
+        return {"family": sample_map_family(n, members[0].dim, seed),
+                "family_spec": spec, "family_seed": seed}
+
+    def _family_violations(self, noun: str) -> list[str]:
+        out = []
+        dev = self.family.unit_sum_deviation()
+        if dev > UNIT_SUM_TOL:
+            out.append(f"family unit images sum to I off by {dev:.3e}")
+        if self.family.size != self.size:
+            out.append(f"family size {self.family.size} != {self.size} {noun}")
+        return out
+
+
+def _draw_family(n: int, dim: int, rng: np.random.Generator) -> dict:
+    """Family fields of a sampled instance, drawn last from ``rng``."""
+    seed = int(rng.integers(0, 2**62))
+    return {"family": sample_map_family(n, dim, seed),
+            "family_spec": f"family:n={n}", "family_seed": seed}
+
+
 @dataclass(frozen=True)
-class QuadrupleInstance:
+class QuadrupleInstance(_Instance):
     """Operators A <= m <= B, C <= M <= D with a declared sum relation."""
 
     A: HermitianMatrix
@@ -90,25 +158,37 @@ class QuadrupleInstance:
             nonneg_A=bool(obj.get("nonneg_A", False)),
         )
 
-    def digest(self) -> str:
-        return digest(self.to_dict())
+    def _violations(self, tol: float) -> list[str]:
+        named = (("A", self.A), ("B", self.B), ("C", self.C), ("D", self.D))
+        out = [f"{name} has dim {mat.dim}, expected {self.dim}"
+               for name, mat in named if mat.dim != self.dim]
+        out += self._bound_violations("A", self.A, tol, upper="m", nonneg=self.nonneg_A)
+        out += self._bound_violations("B", self.B, tol, lower="m", upper="M")
+        out += self._bound_violations("C", self.C, tol, lower="m", upper="M")
+        out += self._bound_violations("D", self.D, tol, lower="M")
+
+        verdict = loewner_leq(self.B + self.C, self.A + self.D, tol)
+        lo, hi = verdict.min_eigenvalue_of_difference, verdict.max_eigenvalue_of_difference
+        if self.relation is SumRelation.EQUAL and verdict.relation is not Relation.EQUAL:
+            out.append(f"A+D = B+C violated: spectrum of difference in [{lo!r}, {hi!r}]")
+        elif self.relation is SumRelation.SUM_LEQ and not verdict.is_leq:
+            out.append(f"B+C <= A+D violated: min eig {lo!r}")
+        elif self.relation is SumRelation.SUM_GEQ and not verdict.is_geq:
+            out.append(f"A+D <= B+C violated: max eig {hi!r}")
+        return out
 
 
 @dataclass(frozen=True)
-class MercerInstance:
+class MercerInstance(_FamilyInstance):
     """Operators B_1..B_n with spectra in [m, M] plus a map family.
 
     The reflected operators C_i = (M+m)I - B_i automatically land in [m, M];
-    they are derived, not stored.  ``family_spec``/``family_seed`` record how
-    the family was realized so files round-trip exactly.
+    they are derived, not stored.
     """
 
     B_list: tuple
     m: float
     M: float
-    family: MapFamily
-    family_spec: str = ""
-    family_seed: int = 0
 
     @property
     def size(self) -> int:
@@ -126,28 +206,27 @@ class MercerInstance:
             "B_list": [b.to_dict() for b in self.B_list],
             "m": float(self.m),
             "M": float(self.M),
-            "family": self.family_spec or f"family:n={self.size}",
-            "family_seed": int(self.family_seed),
+            **self._family_fields(),
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MercerInstance":
         b_list = tuple(HermitianMatrix.from_dict(it) for it in obj["B_list"])
-        spec = obj.get("family", f"family:n={len(b_list)}")
-        seed = int(obj.get("family_seed", 0))
-        n = parse_family_spec(spec)
-        if n != len(b_list):
-            raise ShapeMismatch(f"family size {n} does not match {len(b_list)} operators")
-        family = sample_map_family(n, b_list[0].dim, seed)
         return cls(B_list=b_list, m=float(obj["m"]), M=float(obj["M"]),
-                   family=family, family_spec=spec, family_seed=seed)
+                   **cls._family_from_dict(obj, b_list, "operators"))
 
-    def digest(self) -> str:
-        return digest(self.to_dict())
+    def _violations(self, tol: float) -> list[str]:
+        out: list[str] = []
+        for i, b in enumerate(self.B_list):
+            out += self._bound_violations(f"B_{i}", b, tol, lower="m", upper="M")
+        out += self._family_violations("operators")
+        if self.family.input_dim != self.dim:
+            out.append(f"family input dim {self.family.input_dim} != {self.dim}")
+        return out
 
 
 @dataclass(frozen=True)
-class MidpointInstance:
+class MidpointInstance(_Instance):
     """A pair with A <= m <= (A+D)/2 <= M <= D."""
 
     A: HermitianMatrix
@@ -182,20 +261,19 @@ class MidpointInstance:
             nonneg_A=bool(obj.get("nonneg_A", False)),
         )
 
-    def digest(self) -> str:
-        return digest(self.to_dict())
+    def _violations(self, tol: float) -> list[str]:
+        return (self._bound_violations("A", self.A, tol, upper="m", nonneg=self.nonneg_A)
+                + self._bound_violations("D", self.D, tol, lower="M")
+                + self._bound_violations("(A+D)/2", self.midpoint(), tol, lower="m", upper="M"))
 
 
 @dataclass(frozen=True)
-class MultiQuadrupleInstance:
+class MultiQuadrupleInstance(_FamilyInstance):
     """n equal-sum quadruples sharing (m, M), plus a matching map family."""
 
     quadruples: tuple
     m: float
     M: float
-    family: MapFamily
-    family_spec: str = ""
-    family_seed: int = 0
 
     @property
     def size(self) -> int:
@@ -210,24 +288,50 @@ class MultiQuadrupleInstance:
             "quadruples": [q.to_dict() for q in self.quadruples],
             "m": float(self.m),
             "M": float(self.M),
-            "family": self.family_spec or f"family:n={self.size}",
-            "family_seed": int(self.family_seed),
+            **self._family_fields(),
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MultiQuadrupleInstance":
         quads = tuple(QuadrupleInstance.from_dict(it) for it in obj["quadruples"])
-        spec = obj.get("family", f"family:n={len(quads)}")
-        seed = int(obj.get("family_seed", 0))
-        n = parse_family_spec(spec)
-        if n != len(quads):
-            raise ShapeMismatch(f"family size {n} does not match {len(quads)} quadruples")
-        family = sample_map_family(n, quads[0].dim, seed)
         return cls(quadruples=quads, m=float(obj["m"]), M=float(obj["M"]),
-                   family=family, family_spec=spec, family_seed=seed)
+                   **cls._family_from_dict(obj, quads, "quadruples"))
 
-    def digest(self) -> str:
-        return digest(self.to_dict())
+    def _violations(self, tol: float) -> list[str]:
+        out = []
+        for i, q in enumerate(self.quadruples):
+            if q.relation is not SumRelation.EQUAL:
+                out.append(f"quadruple[{i}] relation is {q.relation.value}, expected equal-sum")
+            out.extend(f"quadruple[{i}]: {v}" for v in q._violations(tol))
+        if abs(self.m - self.quadruples[0].m) > 0 or abs(self.M - self.quadruples[0].M) > 0:
+            out.append("shared (m, M) differs from member quadruples")
+        return out + self._family_violations("quadruples")
+
+
+def validate_instance(inst, tol: float = 1e-10) -> list[str]:
+    """Check every invariant of the instance numerically.
+
+    Returns a list of violation strings (empty means valid); each names the
+    constraint and the offending eigenvalue.  Spectral bounds use a
+    tolerance relative to max(1, |m|, |M|); sum relations use the Loewner
+    comparison at ``tol``.
+    """
+    if not isinstance(inst, _Instance):
+        raise ShapeMismatch(f"cannot validate object of type {type(inst).__name__}")
+    return inst._violations(tol)
+
+
+def instance_from_dict(obj: dict):
+    """Dispatch on the keys of an instance file object."""
+    if "quadruples" in obj:
+        return MultiQuadrupleInstance.from_dict(obj)
+    if "B_list" in obj:
+        return MercerInstance.from_dict(obj)
+    if "B" in obj:
+        return QuadrupleInstance.from_dict(obj)
+    if "A" in obj and "D" in obj:
+        return MidpointInstance.from_dict(obj)
+    raise ShapeMismatch("unrecognized instance file layout")
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +360,15 @@ def _sample_psd_bounded(dim: int, max_norm: float, rng: np.random.Generator) -> 
     return sample_sandwiched_matrix(dim, 0.0, max_norm, rng)
 
 
-def default_q_scale(m: float, M: float) -> float:
-    """Default spread of A below m and D above M: a quarter interval width
-    keeps chain gaps well-scaled."""
-    return 0.25 * (M - m)
+def _check_interval(m: float, M: float, nonneg_A: bool = False) -> None:
+    if M <= m:
+        raise DegenerateInterval(f"need m < M, got m={m}, M={M}")
+    if nonneg_A and m <= 0:
+        raise DegenerateInterval(f"nonneg_A requires m > 0, got m={m}")
 
 
-def sample_quadruple(
-    dim: int,
-    m: float,
-    M: float,
-    relation: SumRelation | str = SumRelation.EQUAL,
-    nonneg_A: bool = False,
-    seed=0,
-    q_scale: float | None = None,
-) -> QuadrupleInstance:
+def sample_quadruple(dim: int, m: float, M: float, relation: SumRelation | str = SumRelation.EQUAL,
+                     nonneg_A: bool = False, seed=0) -> QuadrupleInstance:
     """Quadruple with B, C sandwiched in [m, M], A below m, D above M, and
     the requested sum relation holding exactly by construction.
 
@@ -280,13 +378,9 @@ def sample_quadruple(
     """
     if isinstance(relation, str):
         relation = SumRelation.from_string(relation)
-    if M <= m:
-        raise DegenerateInterval(f"need m < M, got m={m}, M={M}")
-    if nonneg_A and m <= 0:
-        raise DegenerateInterval(f"nonneg_A requires m > 0, got m={m}")
+    _check_interval(m, M, nonneg_A)
     rng = as_generator(seed)
-    if q_scale is None:
-        q_scale = default_q_scale(m, M)
+    spread = SHIFT_SHARE * (M - m)
     eye = HermitianMatrix.identity(dim)
 
     for _ in range(MAX_RETRIES):
@@ -296,22 +390,22 @@ def sample_quadruple(
 
         if relation is SumRelation.EQUAL:
             P0 = positive_part((M + m) * eye - S)
-            cap = _shift_cap(P0, m, q_scale, nonneg_A)
+            cap = _shift_cap(P0, m, spread, nonneg_A)
             if cap is None:
                 continue
             Q = _sample_psd_bounded(dim, cap, rng)
             A = m * eye - P0 - Q
             D = S - A
         elif relation is SumRelation.SUM_LEQ:
-            cap = q_scale if not nonneg_A else min(q_scale, m)
+            cap = spread if not nonneg_A else min(spread, m)
             P_A = _sample_psd_bounded(dim, cap, rng)
             A = m * eye - P_A
             lift = positive_part(S - A - M * eye)
-            D = M * eye + lift + _sample_psd_bounded(dim, q_scale, rng)
+            D = M * eye + lift + _sample_psd_bounded(dim, spread, rng)
         else:  # SUM_GEQ: A + D <= B + C
-            D = M * eye + _sample_psd_bounded(dim, q_scale, rng)
+            D = M * eye + _sample_psd_bounded(dim, spread, rng)
             P0 = positive_part(D + m * eye - S)
-            cap = _shift_cap(P0, m, q_scale, nonneg_A)
+            cap = _shift_cap(P0, m, spread, nonneg_A)
             if cap is None:
                 continue
             A = m * eye - P0 - _sample_psd_bounded(dim, cap, rng)
@@ -327,46 +421,37 @@ def sample_quadruple(
     )
 
 
-def _shift_cap(p0: HermitianMatrix, m: float, q_scale: float, nonneg: bool) -> float | None:
+def _shift_cap(p0: HermitianMatrix, m: float, spread: float, nonneg: bool) -> float | None:
     """Largest extra PSD norm allowed below m; None when even P0 overshoots."""
     if not nonneg:
-        return q_scale
+        return spread
     room = m - spectral_bounds(p0)[1]
     if room <= 0.0:
         return None
-    return min(q_scale, room)
+    return min(spread, room)
 
 
-def sample_midpoint(dim: int, m: float, M: float, nonneg_A: bool = False, seed=0,
-                    q_scale: float | None = None) -> MidpointInstance:
+def sample_midpoint(dim: int, m: float, M: float, nonneg_A: bool = False,
+                    seed=0) -> MidpointInstance:
     """Pair (A, D) with A <= m <= (A+D)/2 <= M <= D.
 
     With shifts bounded by a quarter interval width the midpoint lands in
     [m, M] automatically, so no rejection is needed."""
-    if M <= m:
-        raise DegenerateInterval(f"need m < M, got m={m}, M={M}")
-    if nonneg_A and m <= 0:
-        raise DegenerateInterval(f"nonneg_A requires m > 0, got m={m}")
+    _check_interval(m, M, nonneg_A)
     rng = as_generator(seed)
-    if q_scale is None:
-        q_scale = default_q_scale(m, M)
-    q_scale = min(q_scale, M - m)
+    spread = SHIFT_SHARE * (M - m)
     eye = HermitianMatrix.identity(dim)
-    cap = q_scale if not nonneg_A else min(q_scale, m)
+    cap = spread if not nonneg_A else min(spread, m)
     A = m * eye - _sample_psd_bounded(dim, cap, rng)
-    D = M * eye + _sample_psd_bounded(dim, q_scale, rng)
+    D = M * eye + _sample_psd_bounded(dim, spread, rng)
     return MidpointInstance(A=A, D=D, m=m, M=M, nonneg_A=nonneg_A)
 
 
 def sample_mercer_family(n: int, dim: int, m: float, M: float, seed=0) -> MercerInstance:
-    if M <= m:
-        raise DegenerateInterval(f"need m < M, got m={m}, M={M}")
+    _check_interval(m, M)
     rng = as_generator(seed)
     b_list = tuple(sample_sandwiched_matrix(dim, m, M, rng) for _ in range(n))
-    family_seed = int(rng.integers(0, 2**62))
-    family = sample_map_family(n, dim, family_seed)
-    return MercerInstance(B_list=b_list, m=m, M=M, family=family,
-                          family_spec=f"family:n={n}", family_seed=family_seed)
+    return MercerInstance(B_list=b_list, m=m, M=M, **_draw_family(n, dim, rng))
 
 
 def sample_quadruple_family(
@@ -378,135 +463,4 @@ def sample_quadruple_family(
         sample_quadruple(dim, m, M, SumRelation.EQUAL, nonneg_A=nonneg_A, seed=rng)
         for _ in range(n)
     )
-    family_seed = int(rng.integers(0, 2**62))
-    family = sample_map_family(n, dim, family_seed)
-    return MultiQuadrupleInstance(quadruples=quads, m=m, M=M, family=family,
-                                  family_spec=f"family:n={n}", family_seed=family_seed)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-def validate_instance(inst, tol: float = 1e-10) -> list[str]:
-    """Check every invariant of the instance numerically.
-
-    Returns a list of violation strings (empty means valid); each names the
-    constraint and the offending eigenvalue.  Spectral bounds use a
-    tolerance relative to max(1, |m|, |M|); sum relations use the Loewner
-    comparison at ``tol``.
-    """
-    if isinstance(inst, QuadrupleInstance):
-        return _validate_quadruple(inst, tol)
-    if isinstance(inst, MercerInstance):
-        return _validate_mercer(inst, tol)
-    if isinstance(inst, MidpointInstance):
-        return _validate_midpoint(inst, tol)
-    if isinstance(inst, MultiQuadrupleInstance):
-        out = []
-        for i, q in enumerate(inst.quadruples):
-            if q.relation is not SumRelation.EQUAL:
-                out.append(f"quadruple[{i}] relation is {q.relation.value}, expected equal-sum")
-            out.extend(f"quadruple[{i}]: {v}" for v in _validate_quadruple(q, tol))
-        if abs(inst.m - inst.quadruples[0].m) > 0 or abs(inst.M - inst.quadruples[0].M) > 0:
-            out.append("shared (m, M) differs from member quadruples")
-        dev = inst.family.unit_sum_deviation()
-        if dev > 1e-12:
-            out.append(f"family unit images sum to I off by {dev:.3e}")
-        if inst.family.size != inst.size:
-            out.append(f"family size {inst.family.size} != {inst.size} quadruples")
-        return out
-    raise ShapeMismatch(f"cannot validate object of type {type(inst).__name__}")
-
-
-def _eps(inst_m: float, inst_M: float, tol: float) -> float:
-    return tol * max(1.0, abs(inst_m), abs(inst_M))
-
-
-def _validate_quadruple(inst: QuadrupleInstance, tol: float) -> list[str]:
-    out: list[str] = []
-    eps = _eps(inst.m, inst.M, tol)
-    for name, mat in (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D)):
-        if mat.dim != inst.dim:
-            out.append(f"{name} has dim {mat.dim}, expected {inst.dim}")
-    lo_a, hi_a = spectral_bounds(inst.A)
-    if hi_a > inst.m + eps:
-        out.append(f"lambda_max(A) > m: {hi_a!r} > {inst.m!r}")
-    if inst.nonneg_A and lo_a < -eps:
-        out.append(f"lambda_min(A) < 0: {lo_a!r}")
-    for name, mat in (("B", inst.B), ("C", inst.C)):
-        lo, hi = spectral_bounds(mat)
-        if lo < inst.m - eps:
-            out.append(f"lambda_min({name}) < m: {lo!r} < {inst.m!r}")
-        if hi > inst.M + eps:
-            out.append(f"lambda_max({name}) > M: {hi!r} > {inst.M!r}")
-    lo_d, _ = spectral_bounds(inst.D)
-    if lo_d < inst.M - eps:
-        out.append(f"lambda_min(D) < M: {lo_d!r} < {inst.M!r}")
-
-    sum_bc = inst.B + inst.C
-    sum_ad = inst.A + inst.D
-    verdict = loewner_leq(sum_bc, sum_ad, tol)
-    if inst.relation is SumRelation.EQUAL and verdict.relation is not Relation.EQUAL:
-        out.append(
-            f"A+D = B+C violated: spectrum of difference in "
-            f"[{verdict.min_eigenvalue_of_difference!r}, {verdict.max_eigenvalue_of_difference!r}]"
-        )
-    elif inst.relation is SumRelation.SUM_LEQ and not verdict.is_leq:
-        out.append(f"B+C <= A+D violated: min eig {verdict.min_eigenvalue_of_difference!r}")
-    elif inst.relation is SumRelation.SUM_GEQ and not verdict.is_geq:
-        out.append(f"A+D <= B+C violated: max eig {verdict.max_eigenvalue_of_difference!r}")
-    return out
-
-
-def _validate_mercer(inst: MercerInstance, tol: float) -> list[str]:
-    out: list[str] = []
-    eps = _eps(inst.m, inst.M, tol)
-    for i, b in enumerate(inst.B_list):
-        lo, hi = spectral_bounds(b)
-        if lo < inst.m - eps:
-            out.append(f"lambda_min(B_{i}) < m: {lo!r} < {inst.m!r}")
-        if hi > inst.M + eps:
-            out.append(f"lambda_max(B_{i}) > M: {hi!r} > {inst.M!r}")
-    dev = inst.family.unit_sum_deviation()
-    if dev > 1e-12:
-        out.append(f"family unit images sum to I off by {dev:.3e}")
-    if inst.family.size != inst.size:
-        out.append(f"family size {inst.family.size} != {inst.size} operators")
-    if inst.family.input_dim != inst.dim:
-        out.append(f"family input dim {inst.family.input_dim} != {inst.dim}")
-    return out
-
-
-def _validate_midpoint(inst: MidpointInstance, tol: float) -> list[str]:
-    out: list[str] = []
-    eps = _eps(inst.m, inst.M, tol)
-    lo_a, hi_a = spectral_bounds(inst.A)
-    if hi_a > inst.m + eps:
-        out.append(f"lambda_max(A) > m: {hi_a!r} > {inst.m!r}")
-    if inst.nonneg_A and lo_a < -eps:
-        out.append(f"lambda_min(A) < 0: {lo_a!r}")
-    lo_d, _ = spectral_bounds(inst.D)
-    if lo_d < inst.M - eps:
-        out.append(f"lambda_min(D) < M: {lo_d!r} < {inst.M!r}")
-    w = inst.midpoint()
-    lo_w, hi_w = spectral_bounds(w)
-    if lo_w < inst.m - eps:
-        out.append(f"lambda_min((A+D)/2) < m: {lo_w!r} < {inst.m!r}")
-    if hi_w > inst.M + eps:
-        out.append(f"lambda_max((A+D)/2) > M: {hi_w!r} > {inst.M!r}")
-    return out
-
-
-def instance_from_dict(obj: dict):
-    """Dispatch on the keys of an instance file object."""
-    if "quadruples" in obj:
-        return MultiQuadrupleInstance.from_dict(obj)
-    if "B_list" in obj:
-        return MercerInstance.from_dict(obj)
-    if "B" in obj:
-        return QuadrupleInstance.from_dict(obj)
-    if "A" in obj and "D" in obj:
-        return MidpointInstance.from_dict(obj)
-    raise ShapeMismatch("unrecognized instance file layout")
+    return MultiQuadrupleInstance(quadruples=quads, m=m, M=M, **_draw_family(n, dim, rng))

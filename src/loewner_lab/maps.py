@@ -7,7 +7,8 @@ sum w_j U_j A U_j*.  Together they exercise dimension change, block
 structure, and convex mixing.  Families are built from sub-unital members
 w_i * Phi_i with positive weights summing to one.
 
-Spec strings accepted by :func:`sample_map`:
+Spec strings accepted by :func:`sample_map` and checked, without drawing
+anything, by :func:`parse_map_spec`:
 
     "identity"
     "pinching"                      random block partition
@@ -50,9 +51,6 @@ class PositiveUnitalMap:
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.kind
-
 
 class IdentityMap(PositiveUnitalMap):
     kind = "identity"
@@ -85,9 +83,6 @@ class PinchingMap(PositiveUnitalMap):
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
         return arr * self._mask
 
-    def describe(self) -> str:
-        return "pinching:blocks=" + "|".join(",".join(str(i) for i in b) for b in self.blocks)
-
 
 class CompressionMap(PositiveUnitalMap):
     """A -> V* A V for an n x k matrix V.  Unital exactly when V*V = I_k;
@@ -105,9 +100,6 @@ class CompressionMap(PositiveUnitalMap):
 
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
         return self.isometry.conj().T @ arr @ self.isometry
-
-    def describe(self) -> str:
-        return f"compression:k={self.output_dim}"
 
 
 class MixedUnitaryMap(PositiveUnitalMap):
@@ -133,9 +125,6 @@ class MixedUnitaryMap(PositiveUnitalMap):
             out += w * (u @ arr @ u.conj().T)
         return out
 
-    def describe(self) -> str:
-        return f"mixed:count={len(self.unitaries)}"
-
 
 class ScaledMap(PositiveUnitalMap):
     """w * Phi for a unital Phi; the sub-unital building block of families."""
@@ -151,9 +140,6 @@ class ScaledMap(PositiveUnitalMap):
 
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
         return self.weight * self.base._apply_raw(arr)
-
-    def describe(self) -> str:
-        return f"scaled:w={self.weight:g}|{self.base.describe()}"
 
 
 @dataclass(frozen=True)
@@ -189,9 +175,6 @@ class MapFamily:
         eye = HermitianMatrix.identity(self.input_dim)
         s = self.apply_sum(eye)
         return float(np.linalg.norm(s.entries - np.eye(self.output_dim)))
-
-    def describe(self) -> str:
-        return f"family:n={self.size}"
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +270,35 @@ def _parse_params(tail: str, spec: str) -> dict:
     return params
 
 
+# Single-map kinds and the one parameter each accepts.
+_MAP_PARAMS = {"identity": None, "pinching": "blocks", "compression": "k",
+               "mixed": "count", "mixed-unitary": "count"}
+
+
+def parse_map_spec(spec: str) -> tuple[str, dict]:
+    """Check a single-map spec string without drawing anything.  Returns
+    the kind and its typed parameters: ``blocks`` as tuples of indices,
+    ``k`` and ``count`` as integers >= 1."""
+    head, _, tail = str(spec).partition(":")
+    if head not in _MAP_PARAMS:
+        raise UnknownKind(f"unknown map kind {spec!r}")
+    params = _parse_params(tail, spec)
+    for key, value in params.items():
+        if key != _MAP_PARAMS[head]:
+            raise SpecParseError(f"unknown parameter {key!r} in {spec!r}")
+        try:
+            if key == "blocks":
+                params[key] = tuple(tuple(int(i) for i in grp.split(",") if i != "")
+                                    for grp in value.split("|"))
+            else:
+                params[key] = int(value)
+        except ValueError:
+            raise SpecParseError(f"bad {key} in {spec!r}") from None
+        if key != "blocks" and params[key] < 1:
+            raise SpecParseError(f"{head} {key} must be >= 1, got {params[key]}")
+    return head, params
+
+
 def sample_map(kind: str, dim: int, seed) -> PositiveUnitalMap:
     """Realize a map from its spec string, deterministic in the seed.
 
@@ -295,37 +307,22 @@ def sample_map(kind: str, dim: int, seed) -> PositiveUnitalMap:
     """
     if dim < 1:
         raise DimensionMismatch("dim must be >= 1")
+    head, params = parse_map_spec(kind)
     rng = as_generator(seed)
-    head, _, tail = str(kind).partition(":")
-    params = _parse_params(tail, kind)
-
     if head == "identity":
         return IdentityMap(dim)
     if head == "pinching":
-        if "blocks" in params:
-            blocks = tuple(
-                tuple(int(i) for i in grp.split(",") if i != "")
-                for grp in params["blocks"].split("|")
-            )
-        else:
-            blocks = _random_partition(dim, rng)
+        blocks = params["blocks"] if "blocks" in params else _random_partition(dim, rng)
         return PinchingMap(dim, blocks)
     if head == "compression":
-        if "k" in params:
-            k = int(params["k"])
-            if not 1 <= k <= dim:
-                raise SpecParseError(f"compression k={k} outside 1..{dim}")
-        else:
-            k = int(rng.integers(1, dim + 1))
+        k = params["k"] if "k" in params else int(rng.integers(1, dim + 1))
+        if k > dim:
+            raise SpecParseError(f"compression k={k} outside 1..{dim}")
         return CompressionMap(random_isometry(dim, k, rng))
-    if head in ("mixed", "mixed-unitary"):
-        count = int(params.get("count", 2))
-        if count < 1:
-            raise SpecParseError(f"mixed count must be >= 1, got {count}")
-        weights = rng.dirichlet(np.ones(count))
-        unitaries = [_unitary_from_eigenbasis(dim, rng) for _ in range(count)]
-        return MixedUnitaryMap(weights, unitaries)
-    raise UnknownKind(f"unknown map kind {kind!r}")
+    count = params.get("count", 2)  # mixed, mixed-unitary
+    weights = rng.dirichlet(np.ones(count))
+    unitaries = [_unitary_from_eigenbasis(dim, rng) for _ in range(count)]
+    return MixedUnitaryMap(weights, unitaries)
 
 
 def _unitary_from_eigenbasis(dim: int, rng: np.random.Generator) -> np.ndarray:

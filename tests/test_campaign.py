@@ -50,6 +50,13 @@ def test_config_roundtrip_and_validation():
         ({"tol": float("nan")}, "tol"),
         ({"instances_per_cell": True}, "instances_per_cell"),
         ({"mm_ranges": [[0.5, float("nan")]]}, "mm_ranges"),
+        ({"map_specs": ["identity", "bogus"]}, "map_specs"),
+        ({"map_specs": ["compression:k=two"]}, "map_specs"),
+        ({"map_specs": ["family:n=0"]}, "map_specs"),
+        ({"seed": True}, "seed"),
+        ({"seed": 5.7}, "seed"),
+        ({"seed": "x"}, "seed"),
+        ({"dims": [2, 17]}, "dims"),
     ],
 )
 def test_config_rejects_bad_values(patch, fragment):

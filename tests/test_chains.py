@@ -5,6 +5,7 @@ reference in scalar_oracle, which shares no code with the package.
 """
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ def test_chain_lengths_match_registry_shapes():
     assert set(expected) == set(THEOREMS)
     for tid, spec in THEOREMS.items():
         f = fn_pairs_for(spec)[0][0]
-        rng = spawn_rng(99, hash(tid) % 1000)
+        rng = spawn_rng(99, zlib.crc32(tid.encode()) % 1000)
         inst = sample_instance_for(spec, f, 2, 1.0, 2.0, rng)
         maps = sample_map("mixed", 2, rng) if spec.map_mode == "single" else None
         chain = build_chain(tid, inst, f, maps)
@@ -275,7 +276,7 @@ def test_refinement_sandwich_on_random_instances():
     for tid in ("LC-QUAD", "LC-MAP", "LC-MAP-V2", "LC-MAP-V3", "LC-MULTI"):
         spec = THEOREMS[tid]
         f = exp_function()
-        rng = spawn_rng(55, hash(tid) % 997)
+        rng = spawn_rng(55, zlib.crc32(tid.encode()) % 997)
         inst = sample_instance_for(spec, f, 3, 0.5, 2.0, rng)
         maps = sample_map("mixed", 3, rng) if spec.map_mode == "single" else None
         chain = build_chain(tid, inst, f, maps)
@@ -292,7 +293,7 @@ def test_sq_refinement_tightens_baseline():
     f = power_function(2)
     for tid in ("SQ-MAP", "SQ-MAP-V2", "SQ-MAP-V3", "SQ-QUAD", "SQ-MID"):
         spec = THEOREMS[tid]
-        rng = spawn_rng(56, hash(tid) % 997)
+        rng = spawn_rng(56, zlib.crc32(tid.encode()) % 997)
         inst = sample_instance_for(spec, f, 2, 1.0, 2.0, rng)
         maps = sample_map("compression:k=2", 2, rng) if spec.map_mode == "single" else None
         chain = build_chain(tid, inst, f, maps)

@@ -171,6 +171,8 @@ def no_sampling(monkeypatch):
     (["--tol", "nan"], "tol"),
     (["--budget", "-5"], "budget"),
     (["--m", "2.0", "--M", "2.0"], "m < M"),
+    (["--dims", "1,17"], "--dims"),
+    (["--theorem", "sq-map", "--function", "pow:p=2", "--map", "bogus"], "bogus"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])
@@ -195,6 +197,34 @@ def test_verify_degenerate_interval_exit_2(tmp_path, capsys):
     rc = main(["verify", "--theorem", "lc-quad", "--instance", path, "--function", "exp"])
     assert rc == 2
     assert "m < M" in capsys.readouterr().err
+
+
+def square(value, dim):
+    return {"dim": dim, "re": [[value if i == j else 0.0 for j in range(dim)] for i in range(dim)]}
+
+
+@pytest.mark.parametrize("matrix_a, fragment", [
+    ({"dim": 2, "re": [[0.0, float("nan")], [float("nan"), 0.0]]}, "finite"),
+    (square(0.0, 17), "dim must be in 1..16"),
+])
+def test_verify_rejects_bad_matrix_file(matrix_a, fragment, tmp_path, capsys):
+    dim = matrix_a["dim"]
+    inst = dict(WORKED_INSTANCE, A=matrix_a, B=square(2.0, dim), C=square(2.0, dim),
+                D=square(5.0, dim))
+    path = write_json(tmp_path / "bad.json", inst)
+    rc = main(["verify", "--theorem", "lc-quad", "--instance", path, "--function", "exp"])
+    assert rc == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_campaign_unknown_map_spec_exit_2(tmp_path, capsys):
+    cfg = campaign_config()
+    cfg["map_specs"] = ["bogus"]
+    path = write_json(tmp_path / "c.json", cfg)
+    rc = main(["campaign", "--config", path, "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "map_specs" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_campaign_nan_tol_exit_2(tmp_path, capsys):

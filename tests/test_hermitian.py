@@ -265,6 +265,12 @@ def test_construction_rejects_genuinely_nonhermitian():
         HermitianMatrix([[1.0, 1.0], [0.0, 1.0]], strict=True)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_strict_construction_rejects_non_finite(bad):
+    with pytest.raises(NotHermitian):
+        HermitianMatrix([[1.0, bad], [bad, 1.0]], strict=True)
+
+
 def test_matrix_json_roundtrip_complex():
     rng = np.random.default_rng(12)
     a = random_hermitian(3, rng)
