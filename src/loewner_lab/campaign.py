@@ -26,7 +26,7 @@ from .chains import (
 )
 from .functions import parse_function_spec
 from .hermitian import MAX_DIM
-from .maps import parse_family_spec, parse_map_spec, sample_map
+from .maps import map_misfit, parse_family_spec, parse_map_spec, sample_map
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
 
@@ -207,9 +207,9 @@ def _cell_skip_reason(spec, f, map_spec: str, dim: int, ranges) -> str | None:
     if spec.map_mode == "single":
         if map_spec.startswith("family"):
             return "needs a single map, not a family"
-        k = parse_map_spec(map_spec)[1].get("k", 1)
-        if k > dim:
-            return f"compression k={k} exceeds dim {dim}"
+        misfit = map_misfit(map_spec, dim)
+        if misfit is not None:
+            return misfit
     elif spec.map_mode == "family" and not map_spec.startswith("family"):
         return "needs a map family"
     if not _compatible_ranges(spec, f, ranges):

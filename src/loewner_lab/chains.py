@@ -66,7 +66,7 @@ from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_sc
 from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
                         QuadrupleInstance, SumRelation, sample_mercer_family, sample_midpoint,
                         sample_quadruple, sample_quadruple_family, validate_instance)
-from .maps import MapFamily, PositiveUnitalMap, parse_map_spec, sample_map
+from .maps import MapFamily, PositiveUnitalMap, map_misfit, sample_map
 from .seeding import spawn_rng
 
 RELAXATIONS = ("cond-i-f", "cond-i-sum", "cond-ii-f", "cond-ii-sum", "equal-sum")
@@ -779,9 +779,12 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     check_tolerance(tol)
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
-    if spec.map_mode == "single":
-        parse_map_spec(map_spec)
     dims = tuple(dims)
+    if spec.map_mode == "single":
+        for dim in dims:
+            misfit = map_misfit(map_spec, dim)
+            if misfit is not None:
+                raise ConfigError(f"dims: map {map_spec!r} cannot act at dim {dim}: {misfit}")
     for attempt in range(budget):
         rng = spawn_rng(seed, attempt)
         dim = dims[attempt % len(dims)]

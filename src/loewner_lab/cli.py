@@ -110,7 +110,10 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_hunt(args) -> int:
     f = parse_function_spec(args.function)
-    dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
+    try:
+        dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
+    except ValueError:
+        dims = ()
     if not dims or any(not 1 <= d <= MAX_DIM for d in dims):
         raise ConfigError(f"--dims: entries must be integers in 1..{MAX_DIM}, got {args.dims!r}")
     result = hunt_counterexample(

@@ -2,14 +2,17 @@
 calculus, and comparison in the positive-semidefinite (Loewner) order.
 
 Everything downstream builds on this module.  Matrices are immutable value
-objects; eigendecompositions are cached on the instance, so applying several
-scalar functions to the same matrix costs one decomposition.
+objects; the eigendecomposition is cached on the instance, so asking for the
+spectrum, the bounds, and several scalar functions of one matrix costs one
+Jacobi run, which yields eigenvalues and vectors together.
 
 The eigensolver is a cyclic Jacobi iteration for complex Hermitian input.
 It converges when the off-diagonal Frobenius norm drops below
 ``JACOBI_CONV_TOL`` times the input norm, within a fixed sweep budget.
 Self-contained and highly accurate at the dimensions this package targets
-(1 to 16); not tuned for anything larger.
+(1 to 16); not tuned for anything larger.  Its rotation arithmetic is fixed
+operation for operation, because every pinned report digest depends on the
+last bits of the spectra.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class HermitianMatrix:
     silent symmetrization would mask genuinely non-Hermitian input.
     """
 
-    __slots__ = ("_entries", "_fro", "_eig", "_eigvals")
+    __slots__ = ("_entries", "_fro", "_eig")
 
     def __init__(self, entries, *, strict: bool = False):
         arr = np.asarray(entries, dtype=np.complex128)
@@ -77,7 +80,6 @@ class HermitianMatrix:
         self._entries = herm
         self._fro = float(np.linalg.norm(herm))
         self._eig = None
-        self._eigvals = None
 
     @property
     def dim(self) -> int:
@@ -197,17 +199,30 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
 
     Returns (eigenvalues ascending, vectors or None).  Raises NonConvergence
     if the off-diagonal mass has not collapsed within the sweep budget.
+
+    A and, when wanted, V are stacked as ``[A; V]`` in one column-major
+    array, so one update of a contiguous column rotates both.  Every update
+    is a 1-D numpy operation: 2-D broadcast forms select other complex loops
+    and change the last bits, and every pinned report depends on these bits.
+    A is never updated from V, so the eigenvalues do not depend on
+    ``want_vectors``.
     """
-    n = matrix.shape[0]
-    a = np.array(matrix, dtype=np.complex128, copy=True)
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
+    a = np.asarray(matrix, dtype=np.complex128)
+    n = a.shape[0]
     scale = float(np.linalg.norm(a))
     if n == 1 or scale == 0.0:
         lam = np.sort(np.diag(a).real.copy()) if n > 1 else np.array([a[0, 0].real])
-        return lam, v
+        return lam, np.eye(n, dtype=np.complex128) if want_vectors else None
     threshold = JACOBI_CONV_TOL * scale
     # Elements this small cannot push the off-norm back above threshold.
     skip = threshold / (2.0 * n)
+    stacked = np.zeros((2 * n if want_vectors else n, n), dtype=np.complex128, order="F")
+    stacked[:n] = a
+    if want_vectors:
+        stacked[n:] = np.eye(n)
+    a = stacked[:n]
+    cols = list(stacked.T)
+    rows = list(a)
 
     for _ in range(JACOBI_SWEEP_BUDGET):
         off = _off_norm(a)
@@ -215,8 +230,7 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
             lam = np.diag(a).real.copy()
             order = np.argsort(lam, kind="stable")
             lam = lam[order]
-            if want_vectors:
-                v = np.ascontiguousarray(v[:, order])
+            v = np.ascontiguousarray(stacked[n:, order]) if want_vectors else None
             return lam, v
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -233,26 +247,24 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 s_ph = s * phase
-                # A <- A U with U acting on columns (p, q).
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - np.conj(s_ph) * col_q
-                a[:, q] = s_ph * col_p + c * col_q
+                s_conj = np.conj(s_ph)
+                # [A; V] <- [A; V] U with U acting on columns (p, q).
+                col_p, col_q = cols[p], cols[q]
+                new_p = c * col_p - s_conj * col_q
+                new_q = s_ph * col_p + c * col_q
+                col_p[...] = new_p
+                col_q[...] = new_q
                 # A <- U* A.
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s_ph * row_q
-                a[q, :] = np.conj(s_ph) * row_p + c * row_q
+                row_p, row_q = rows[p], rows[q]
+                new_p = c * row_p - s_ph * row_q
+                new_q = s_conj * row_p + c * row_q
+                row_p[...] = new_p
+                row_q[...] = new_q
                 # Numerical hygiene: the rotation zeroes (p, q) exactly.
                 a[p, q] = 0.0
                 a[q, p] = 0.0
                 a[p, p] = a[p, p].real
                 a[q, q] = a[q, q].real
-                if want_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - np.conj(s_ph) * vq
-                    v[:, q] = s_ph * vp + c * vq
     raise NonConvergence(
         f"Jacobi sweeps exhausted ({JACOBI_SWEEP_BUDGET}) at dim {n}; "
         f"off-diagonal norm still above {threshold:.3e}"
@@ -275,17 +287,13 @@ def eigendecompose(matrix: HermitianMatrix) -> EigenDecomposition:
         lam.setflags(write=False)
         vec.setflags(write=False)
         matrix._eig = EigenDecomposition(eigenvalues=lam, vectors=vec)
-        matrix._eigvals = lam
     return matrix._eig
 
 
 def eigenvalues_of(matrix: HermitianMatrix) -> np.ndarray:
-    """Eigenvalues only (ascending); skips vector tracking when possible."""
-    if matrix._eigvals is None:
-        lam, _ = _jacobi(matrix.entries, want_vectors=False)
-        lam.setflags(write=False)
-        matrix._eigvals = lam
-    return matrix._eigvals
+    """Eigenvalues (ascending) of the cached full decomposition, so a matrix
+    whose vectors are needed later is not decomposed twice."""
+    return eigendecompose(matrix).eigenvalues
 
 
 # ---------------------------------------------------------------------------

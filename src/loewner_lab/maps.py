@@ -70,9 +70,9 @@ class PinchingMap(PositiveUnitalMap):
     def __init__(self, dim: int, blocks):
         super().__init__(dim, dim)
         blocks = tuple(tuple(int(i) for i in b) for b in blocks)
-        seen = sorted(i for b in blocks for i in b)
-        if seen != list(range(dim)) or any(len(b) == 0 for b in blocks):
-            raise SpecParseError(f"blocks {blocks} are not a partition of 0..{dim - 1}")
+        misfit = _partition_misfit(blocks, dim)
+        if misfit is not None:
+            raise SpecParseError(misfit)
         self.blocks = blocks
         mask = np.zeros((dim, dim), dtype=float)
         for b in blocks:
@@ -299,6 +299,25 @@ def parse_map_spec(spec: str) -> tuple[str, dict]:
     return head, params
 
 
+def _partition_misfit(blocks, dim: int) -> str | None:
+    """Why ``blocks`` is not a partition of 0..dim-1 into non-empty blocks."""
+    seen = sorted(i for b in blocks for i in b)
+    if seen != list(range(dim)) or any(len(b) == 0 for b in blocks):
+        return f"blocks {blocks} are not a partition of 0..{dim - 1}"
+    return None
+
+
+def map_misfit(spec: str, dim: int) -> str | None:
+    """Why the single-map ``spec`` cannot act on dim x dim matrices, or None
+    when it can.  Only an explicit compression ``k`` and explicit pinching
+    blocks depend on the dim."""
+    _, params = parse_map_spec(spec)
+    k = params.get("k", 1)
+    if k > dim:
+        return f"compression k={k} exceeds dim {dim}"
+    return _partition_misfit(params["blocks"], dim) if "blocks" in params else None
+
+
 def sample_map(kind: str, dim: int, seed) -> PositiveUnitalMap:
     """Realize a map from its spec string, deterministic in the seed.
 
@@ -308,6 +327,9 @@ def sample_map(kind: str, dim: int, seed) -> PositiveUnitalMap:
     if dim < 1:
         raise DimensionMismatch("dim must be >= 1")
     head, params = parse_map_spec(kind)
+    misfit = map_misfit(kind, dim)
+    if misfit is not None:
+        raise SpecParseError(misfit)
     rng = as_generator(seed)
     if head == "identity":
         return IdentityMap(dim)
@@ -316,8 +338,6 @@ def sample_map(kind: str, dim: int, seed) -> PositiveUnitalMap:
         return PinchingMap(dim, blocks)
     if head == "compression":
         k = params["k"] if "k" in params else int(rng.integers(1, dim + 1))
-        if k > dim:
-            raise SpecParseError(f"compression k={k} outside 1..{dim}")
         return CompressionMap(random_isometry(dim, k, rng))
     count = params.get("count", 2)  # mixed, mixed-unitary
     weights = rng.dirichlet(np.ones(count))
