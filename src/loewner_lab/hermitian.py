@@ -223,6 +223,10 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
     a = stacked[:n]
     cols = list(stacked.T)
     rows = list(a)
+    # The rotation's c, s e^{i phi} and its conjugate, held in 0-d complex
+    # arrays: numpy would convert the scalars to these same operands on
+    # every call, so the products are unchanged and each call is cheaper.
+    cos_, sin_, sin_conj = (np.zeros((), dtype=np.complex128) for _ in range(3))
 
     for _ in range(JACOBI_SWEEP_BUDGET):
         off = _off_norm(a)
@@ -247,17 +251,19 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 s_ph = s * phase
-                s_conj = np.conj(s_ph)
+                cos_[()] = c
+                sin_[()] = s_ph
+                sin_conj[()] = np.conj(s_ph)
                 # [A; V] <- [A; V] U with U acting on columns (p, q).
                 col_p, col_q = cols[p], cols[q]
-                new_p = c * col_p - s_conj * col_q
-                new_q = s_ph * col_p + c * col_q
+                new_p = cos_ * col_p - sin_conj * col_q
+                new_q = sin_ * col_p + cos_ * col_q
                 col_p[...] = new_p
                 col_q[...] = new_q
                 # A <- U* A.
                 row_p, row_q = rows[p], rows[q]
-                new_p = c * row_p - s_ph * row_q
-                new_q = s_conj * row_p + c * row_q
+                new_p = cos_ * row_p - sin_ * row_q
+                new_q = sin_conj * row_p + cos_ * row_q
                 row_p[...] = new_p
                 row_q[...] = new_q
                 # Numerical hygiene: the rotation zeroes (p, q) exactly.

@@ -12,7 +12,7 @@ from jacobi_reference import reference_jacobi
 from loewner_lab import hermitian as herm
 from loewner_lab.hermitian import HermitianMatrix, eigendecompose, eigenvalues_of
 
-KINDS = ("real", "complex", "near-diagonal", "zero", "repeated")
+KINDS = ("real", "complex", "near-diagonal", "zero", "repeated", "integer")
 
 
 def _operand(dim: int, kind: str) -> np.ndarray:
@@ -27,6 +27,9 @@ def _operand(dim: int, kind: str) -> np.ndarray:
     elif kind == "repeated":
         q, _ = np.linalg.qr(g)
         g = (q * np.resize([1.0, 2.0], dim)) @ q.conj().T
+    elif kind == "integer":
+        # exact zeros and ties in the products, where signed zeros show
+        g = np.round(2.0 * g)
     return HermitianMatrix(g).entries
 
 
