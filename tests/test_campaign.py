@@ -151,14 +151,13 @@ def test_family_theorem_requires_family_spec():
     assert by_map["family:n=3"].pass_count == cfg.instances_per_cell
 
 
-@pytest.mark.parametrize("map_spec, reason", [
-    ("compression:k=3", "compression k=3 exceeds dim 2"),
-    ("pinching:blocks=0|1", "blocks ((0,), (1,)) are not a partition of 0..2"),
+@pytest.mark.parametrize("map_spec, dim, reason", [
+    ("compression:k=3", 2, "compression k=3 exceeds dim 2"),
+    ("pinching:blocks=0|1", 3, "blocks ((0,), (1,)) are not a partition of 0..2"),
 ])
-def test_single_map_that_cannot_act_at_dim_skips_cell(map_spec, reason):
+def test_single_map_that_cannot_act_at_dim_skips_cell(map_spec, dim, reason):
     cfg = CampaignConfig.from_dict(small_config(
-        theorem_ids=["lc-map"], function_specs=["exp"], map_specs=[map_spec],
-        dims=[2 if map_spec.startswith("compression") else 3],
+        theorem_ids=["lc-map"], function_specs=["exp"], map_specs=[map_spec], dims=[dim],
     ))
     report = run_campaign(cfg)
     assert [c.skip_reason for c in report.cells] == [reason]

@@ -172,10 +172,10 @@ def no_sampling(monkeypatch):
     (["--budget", "-5"], "budget"),
     (["--m", "2.0", "--M", "2.0"], "m < M"),
     (["--dims", "1,17"], "--dims"),
+    (["--theorem", "sq-map", "--function", "pow:p=2", "--map", "bogus"], "bogus"),
     (["--dims", "1,a"], "--dims"),
     (["--theorem", "sq-map", "--function", "pow:p=2", "--map", "pinching:blocks=0|1",
       "--dims", "2,3"], "not a partition of 0..2"),
-    (["--theorem", "sq-map", "--function", "pow:p=2", "--map", "bogus"], "bogus"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])
