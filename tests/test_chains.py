@@ -446,6 +446,37 @@ def test_build_and_hunt_share_the_relaxation_rule(tid, relaxed):
     assert built == hunted == (relaxed in spec.relaxations)
 
 
+_COND = ("cond-i-f", "cond-i-sum", "cond-ii-f", "cond-ii-sum")
+# id -> (map_mode, condition, needs_nonneg, relaxations)
+REGISTRY_HYPOTHESES = {
+    "JM-BASE": ("family", "none", False, ()),
+    "MOS-BASE": ("single", "equal-sum", False, ("equal-sum",)),
+    "LC-QUAD": ("none", "either-condition", False, _COND),
+    "LC-POW": ("none", "either-condition", False, _COND),
+    "LC-MID": ("none", "none", False, ()),
+    "LC-MAP": ("single", "equal-sum", False, ("equal-sum",)),
+    "LC-MAP-V2": ("single", "equal-sum", False, ("equal-sum",)),
+    "LC-MAP-V3": ("single", "equal-sum", False, ("equal-sum",)),
+    "LC-MULTI": ("family", "none", False, ()),
+    "LC-MERCER": ("family", "none", False, ()),
+    "SQ-MAP": ("single", "equal-sum", True, ("equal-sum",)),
+    "SQ-POW": ("single", "equal-sum", True, ("equal-sum",)),
+    "SQ-MAP-V2": ("single", "equal-sum", True, ("equal-sum",)),
+    "SQ-MAP-V3": ("single", "equal-sum", True, ("equal-sum",)),
+    "SQ-MULTI-A": ("family", "none", True, ()),
+    "SQ-MULTI-B": ("family", "none", True, ()),
+    "SQ-MERCER": ("family", "none", True, ()),
+    "SQ-QUAD": ("none", "either-condition", True, _COND),
+    "SQ-MID": ("none", "none", True, ()),
+}
+
+
+def test_registry_hypotheses_are_pinned():
+    got = {tid: (s.map_mode, s.condition, s.needs_nonneg, s.relaxations)
+           for tid, s in THEOREMS.items()}
+    assert got == REGISTRY_HYPOTHESES
+
+
 def test_base_labels_name_exactly_the_stripped_terms():
     for tid, spec in THEOREMS.items():
         ends = (spec.terms[0], spec.terms[-1])
