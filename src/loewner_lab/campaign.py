@@ -25,7 +25,7 @@ from .chains import (
     sample_instance_for,
 )
 from .functions import parse_function_spec
-from .hermitian import MAX_DIM
+from .hermitian import check_dims
 from .maps import map_misfit, parse_family_spec, parse_map_spec, sample_map
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
@@ -91,11 +91,7 @@ class CampaignConfig:
                 parse(s)
             except (SpecParseError, UnknownKind) as exc:
                 raise ConfigError(f"map_specs: {exc}") from None
-        if not self.dims:
-            raise ConfigError("dims: must be non-empty")
-        for d in self.dims:
-            if not _is_int(d) or not 1 <= d <= MAX_DIM:
-                raise ConfigError(f"dims: entries must be integers in 1..{MAX_DIM}, got {d!r}")
+        check_dims(self.dims)
         if not self.mm_ranges:
             raise ConfigError("mm_ranges: must be non-empty")
         for r in self.mm_ranges:
@@ -297,8 +293,10 @@ def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
     ``jobs`` because each instance owns a counter-keyed stream and results
     are merged in cell order."""
     config.validate()
+    if not _is_int(jobs) or jobs < 1:
+        raise ConfigError(f"jobs: must be an integer >= 1, got {jobs!r}")
     cells = plan_cells(config)
-    if jobs <= 1:
+    if jobs == 1:
         results = [
             _run_cell(config, idx, *cell) for idx, cell in enumerate(cells)
         ]

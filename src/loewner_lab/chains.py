@@ -33,6 +33,9 @@ decomposed twice.
 
 Baselines are derived: the first and last terms with every refinement atom
 removed (H, anything on a shift, and CONST f(0)), labelled by ``base``.
+So are the hypotheses beyond the function class: a row names its instance
+kind, function class, terms and optional power restriction, and the map
+mode, the sum hypothesis and A >= 0 follow from those (``TheoremSpec``).
 
 Registry ids (case-insensitive):
 
@@ -52,7 +55,7 @@ false already for scalars: f(t) = t^2, (A,B,C,D) = (0, 1.5, 1.5, 3) with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,10 +65,11 @@ from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, Shape
 from .functions import (CONVEX, LOG_CONVEX, SUPERQUADRATIC, FunctionDescriptor, Interval,
                         interpolation_constants, tilde_t)
 from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_scalar_function,
-                        check_tolerance, loewner_leq, spectral_bounds)
+                        check_dims, check_tolerance, loewner_leq, spectral_bounds)
 from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
-                        QuadrupleInstance, SumRelation, sample_mercer_family, sample_midpoint,
-                        sample_quadruple, sample_quadruple_family, validate_instance)
+                        QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
+                        sample_midpoint, sample_quadruple, sample_quadruple_family,
+                        validate_instance)
 from .maps import MapFamily, PositiveUnitalMap, map_misfit, sample_map
 from .seeding import spawn_rng
 
@@ -289,6 +293,12 @@ def _check_relaxation(spec: "TheoremSpec", relaxed: str | None) -> None:
         raise UnknownRelaxation(f"relaxation {relaxed!r} does not apply to {spec.id}")
 
 
+def _check_function_class(spec: "TheoremSpec", f: FunctionDescriptor) -> None:
+    unmet = spec.unmet_function_class(f)
+    if unmet is not None:
+        raise HypothesisViolation("function class mismatch", f"{f.id} is not {unmet}")
+
+
 # ---------------------------------------------------------------------------
 # The term table
 # ---------------------------------------------------------------------------
@@ -441,18 +451,52 @@ class _Evaluator:
 # ---------------------------------------------------------------------------
 
 
+def _placements(items):
+    """Every atom's placement, groups included."""
+    for item in items:
+        if len(item) == 2:
+            yield from _placements(item[1])
+        else:
+            yield item[1]
+
+
 @dataclass(frozen=True)
 class TheoremSpec:
+    """A registry row.  Three hypotheses follow from its shape and are
+    derived once per row:
+
+    * map_mode: ``family`` on a family instance, else ``single`` when an
+      atom is placed IN or OUT, else ``none``;
+    * condition: on a quadruple, ``equal-sum`` (A+D = B+C) under a map and
+      ``either-condition`` ((i) or (ii)) without one; else ``none``;
+    * needs_nonneg: superquadratic f lives on [0, inf), so A >= 0, m >= 0.
+    """
+
     id: str
     description: str
     instance_kind: type  # the instance class the theorem is stated on
-    map_mode: str  # none | single | family
     required_class: str
-    condition: str  # equal-sum | either-condition | none
     terms: tuple
-    needs_nonneg: bool = False
     power_predicate: object = None
     power_description: str = ""
+    map_mode: str = field(init=False)  # none | single | family
+    condition: str = field(init=False)  # equal-sum | either-condition | none
+    needs_nonneg: bool = field(init=False)
+
+    def __post_init__(self):
+        if issubclass(self.instance_kind, _FamilyInstance):
+            map_mode = "family"
+        elif any(place in (IN, OUT) for t in self.terms for place in _placements(t.atoms)):
+            map_mode = "single"
+        else:
+            map_mode = "none"
+        if self.instance_kind is not QuadrupleInstance:
+            condition = "none"
+        else:
+            condition = "equal-sum" if map_mode == "single" else "either-condition"
+        object.__setattr__(self, "map_mode", map_mode)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "needs_nonneg", self.required_class == SUPERQUADRATIC)
 
     @property
     def relaxations(self) -> tuple:
@@ -501,24 +545,24 @@ _SQ_MAP = (
 THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
     TheoremSpec(
         "JM-BASE", "two-term Mercer baseline for convex f",
-        MercerInstance, "family", CONVEX, "none", (
+        MercerInstance, CONVEX, (
             T("f(W)", (1, OUT, F, "(M+m)I-B")),
             T("f(m)+f(M) - S_i P_i(f(B_i))", *_F_M_PLUS_F_M, (-1, IN, F, "B")))),
     TheoremSpec(
         "MOS-BASE", "two-term map baseline for convex f",
-        QuadrupleInstance, "single", CONVEX, "equal-sum", (
+        QuadrupleInstance, CONVEX, (
             T("f(P(B))+f(P(C))", (1, OUT, F, "B"), (1, OUT, F, "C")),
             T("P(f(A))+P(f(D))", (1, IN, F, "A"), (1, IN, F, "D")))),
     TheoremSpec(
         "LC-QUAD", "five-term log-convex chain, no maps",
-        QuadrupleInstance, "none", LOG_CONVEX, "either-condition", _LC_QUAD),
+        QuadrupleInstance, LOG_CONVEX, _LC_QUAD),
     TheoremSpec(
         "LC-POW", "LC-QUAD specialized to t^p with p <= 0",
-        QuadrupleInstance, "none", LOG_CONVEX, "either-condition", _LC_QUAD,
+        QuadrupleInstance, LOG_CONVEX, _LC_QUAD,
         power_predicate=lambda p: p <= 0, power_description="a power with p <= 0"),
     TheoremSpec(
         "LC-MID", "five-term log-convex chain at the midpoint pair",
-        MidpointInstance, "none", LOG_CONVEX, "none", (
+        MidpointInstance, LOG_CONVEX, (
             T("f(W)", (1, DIR, F, "W")),
             T("g(W)", (1, DIR, G, "W")),
             T("chord(W)", ("slope", DIR, ID, "W"), (1, DIR, CONST, "intercept")),
@@ -526,7 +570,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("(f(A)+f(D))/2", (0.5, ((1, DIR, F, "A"), (1, DIR, F, "D")))))),
     TheoremSpec(
         "LC-MAP", "five-term log-convex chain, map inside on B,C side",
-        QuadrupleInstance, "single", LOG_CONVEX, "equal-sum", (
+        QuadrupleInstance, LOG_CONVEX, (
             T("P(f(B))+P(f(C))", (1, IN, F, "B"), (1, IN, F, "C")),
             T("P(g(B))+P(g(C))", (1, IN, G, "B"), (1, IN, G, "C")),
             T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
@@ -534,7 +578,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("f(P(A))+f(P(D))", (1, OUT, F, "A"), (1, OUT, F, "D")))),
     TheoremSpec(
         "LC-MAP-V2", "five-term log-convex chain, map outside on B,C side",
-        QuadrupleInstance, "single", LOG_CONVEX, "equal-sum", (
+        QuadrupleInstance, LOG_CONVEX, (
             T("f(P(B))+f(P(C))", (1, OUT, F, "B"), (1, OUT, F, "C")),
             T("g(P(B))+g(P(C))", (1, OUT, G, "B"), (1, OUT, G, "C")),
             T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
@@ -542,7 +586,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("P(f(A))+P(f(D))", (1, IN, F, "A"), (1, IN, F, "D")))),
     TheoremSpec(
         "LC-MAP-V3", "five-term log-convex chain, mixed placement",
-        QuadrupleInstance, "single", LOG_CONVEX, "equal-sum", (
+        QuadrupleInstance, LOG_CONVEX, (
             T("P(f(B))+f(P(C))", (1, IN, F, "B"), (1, OUT, F, "C")),
             T("P(g(B))+g(P(C))", (1, IN, G, "B"), (1, OUT, G, "C")),
             T("chord(P(B+C))", ("slope", OUT, ID, "B+C"), (2.0, DIR, CONST, "intercept")),
@@ -550,7 +594,7 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("f(P(A))+P(f(D))", (1, OUT, F, "A"), (1, IN, F, "D")))),
     TheoremSpec(
         "LC-MULTI", "five-term log-convex chain over a map family",
-        MultiQuadrupleInstance, "family", LOG_CONVEX, "none", (
+        MultiQuadrupleInstance, LOG_CONVEX, (
             T("S_i P_i(f(B_i)) + f(S_i P_i(C_i))", (1, IN, F, "B"), (1, OUT, F, "C")),
             T("S_i P_i(g(B_i)) + g(S_i P_i(C_i))", (1, IN, G, "B"), (1, OUT, G, "C")),
             T("chord(S_i P_i(B_i+C_i))",
@@ -559,82 +603,75 @@ THEOREMS: dict[str, TheoremSpec] = {t.id: t for t in (
             T("f(S_i P_i(A_i)) + S_i P_i(f(D_i))", (1, OUT, F, "A"), (1, IN, F, "D")))),
     TheoremSpec(
         "LC-MERCER", "three-term Mercer interpolation for log-convex f",
-        MercerInstance, "family", LOG_CONVEX, "none", (
+        MercerInstance, LOG_CONVEX, (
             T("S_i P_i(f(B_i)) + f(W)", (1, IN, F, "B"), (1, OUT, F, "(M+m)I-B")),
             T("S_i P_i(g(B_i)) + g(W)", (1, IN, G, "B"), (1, OUT, G, "(M+m)I-B")),
             T("f(m)+f(M)", *_F_M_PLUS_F_M))),
     TheoremSpec(
         "SQ-MAP", "superquadratic refinement, map inside",
-        QuadrupleInstance, "single", SUPERQUADRATIC, "equal-sum", _SQ_MAP, needs_nonneg=True),
+        QuadrupleInstance, SUPERQUADRATIC, _SQ_MAP),
     TheoremSpec(
         "SQ-POW", "SQ-MAP specialized to t^p with p >= 2",
-        QuadrupleInstance, "single", SUPERQUADRATIC, "equal-sum", _SQ_MAP, needs_nonneg=True,
+        QuadrupleInstance, SUPERQUADRATIC, _SQ_MAP,
         power_predicate=lambda p: p >= 2, power_description="a power with p >= 2"),
     TheoremSpec(
         "SQ-MAP-V2", "superquadratic refinement, map outside",
-        QuadrupleInstance, "single", SUPERQUADRATIC, "equal-sum", (
+        QuadrupleInstance, SUPERQUADRATIC, (
             T("P(f(B))+P(f(C))", (1, IN, F, "B"), (1, IN, F, "C")),
             T("f(P(A))+f(P(D)) - penalties", (1, OUT, F, "A"), (1, OUT, F, "D"),
               (-1, IN, H, "B"), (-1, IN, H, "C"),
               (-1, OUT, F, "mI-A"), ("-gap", OUT, ID, "mI-A"),
-              (-1, OUT, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="f(P(A))+f(P(D))")),
-        needs_nonneg=True),
+              (-1, OUT, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="f(P(A))+f(P(D))"))),
     # Mixed placement: B enters through f(P(B)), so its penalty is h(P(B));
     # C enters through P(f(C)), so its penalty sits inside the map.  A and D
     # mirror that pairing.
     TheoremSpec(
         "SQ-MAP-V3", "superquadratic refinement, mixed placement",
-        QuadrupleInstance, "single", SUPERQUADRATIC, "equal-sum", (
+        QuadrupleInstance, SUPERQUADRATIC, (
             T("f(P(B))+P(f(C))", (1, OUT, F, "B"), (1, IN, F, "C")),
             T("P(f(A))+f(P(D)) - penalties", (1, IN, F, "A"), (1, OUT, F, "D"),
               (-1, OUT, H, "B"), (-1, IN, H, "C"),
               (-1, IN, F, "mI-A"), ("-gap", OUT, ID, "mI-A"),
-              (-1, OUT, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="P(f(A))+f(P(D))")),
-        needs_nonneg=True),
+              (-1, OUT, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="P(f(A))+f(P(D))"))),
     TheoremSpec(
         "SQ-MULTI-A", "superquadratic family refinement, combinations outside",
-        MultiQuadrupleInstance, "family", SUPERQUADRATIC, "none", (
+        MultiQuadrupleInstance, SUPERQUADRATIC, (
             T("f(Bbar)+f(Cbar) + penalties", (1, OUT, F, "B"), (1, OUT, F, "C"),
               (1, OUT, H, "B"), (1, OUT, H, "C"), base="f(Bbar)+f(Cbar)"),
             T("S_i P_i(f(A_i))+S_i P_i(f(D_i)) - penalties", (1, IN, F, "A"), (1, IN, F, "D"),
               (-1, ((1, IN, F, "mI-A"), (1, IN, F, "D-MI"),
                     ("gap", ((1, OUT, ID, "mI-A"), (1, OUT, ID, "D-MI"))))),
-              base="S_i P_i(f(A_i))+S_i P_i(f(D_i))")),
-        needs_nonneg=True),
+              base="S_i P_i(f(A_i))+S_i P_i(f(D_i))"))),
     TheoremSpec(
         "SQ-MULTI-B", "superquadratic family refinement, mixed placement",
-        MultiQuadrupleInstance, "family", SUPERQUADRATIC, "none", (
+        MultiQuadrupleInstance, SUPERQUADRATIC, (
             T("S_i P_i(f(B_i)) + f(Cbar) + penalties", (1, IN, F, "B"), (1, OUT, F, "C"),
               (1, IN, H, "B"), (1, OUT, H, "C"), base="S_i P_i(f(B_i))+f(Cbar)"),
             T("f(Abar) + S_i P_i(f(D_i)) - penalties", (1, OUT, F, "A"), (1, IN, F, "D"),
               (-1, OUT, F, "mI-A"), ("-gap", OUT, ID, "mI-A"),
-              (-1, IN, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="f(Abar)+S_i P_i(f(D_i))")),
-        needs_nonneg=True),
+              (-1, IN, F, "D-MI"), ("-gap", OUT, ID, "D-MI"), base="f(Abar)+S_i P_i(f(D_i))"))),
     TheoremSpec(
         "SQ-MERCER", "superquadratic Mercer refinement",
-        MercerInstance, "family", SUPERQUADRATIC, "none", (
+        MercerInstance, SUPERQUADRATIC, (
             T("f(W) + penalties", (1, OUT, F, "(M+m)I-B"), (1, IN, H, "B"),
               (1, OUT, H, "(M+m)I-B"), base="f(W)"),
             T("f(m)+f(M)-2f(0) - S_i P_i(f(B_i))", *_F_M_PLUS_F_M,
               (-2, DIR, CONST, "f(0)"), (-1, IN, F, "B"),
-              base="f(m)+f(M) - S_i P_i(f(B_i))")),
-        needs_nonneg=True),
+              base="f(m)+f(M) - S_i P_i(f(B_i))"))),
     TheoremSpec(
         "SQ-QUAD", "superquadratic refinement under condition (i)/(ii)",
-        QuadrupleInstance, "none", SUPERQUADRATIC, "either-condition", (
+        QuadrupleInstance, SUPERQUADRATIC, (
             T("f(B)+f(C) + penalties", (1, DIR, F, "B"), (1, DIR, F, "C"),
               (1, DIR, H, "B"), (1, DIR, H, "C"), base="f(B)+f(C)"),
             T("f(A)+f(D) - penalties", (1, DIR, F, "A"), (1, DIR, F, "D"),
-              (-1, _OUTER_DIR), base="f(A)+f(D)")),
-        needs_nonneg=True),
+              (-1, _OUTER_DIR), base="f(A)+f(D)"))),
     TheoremSpec(
         "SQ-MID", "superquadratic refinement at the midpoint pair",
-        MidpointInstance, "none", SUPERQUADRATIC, "none", (
+        MidpointInstance, SUPERQUADRATIC, (
             T("f(W) + penalty", (1, DIR, F, "W"), (1, DIR, H, "W"), base="f(W)"),
             T("(f(A)+f(D))/2 - penalties",
               (0.5, ((1, DIR, F, "A"), (1, DIR, F, "D"), (-1, _OUTER_DIR))),
-              base="(f(A)+f(D))/2")),
-        needs_nonneg=True),
+              base="(f(A)+f(D))/2"))),
 )}
 
 
@@ -657,9 +694,7 @@ def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
     if violations:
         raise HypothesisViolation("instance invariants", violations[0])
     _check_relaxation(spec, relaxed)
-    unmet = spec.unmet_function_class(f)
-    if unmet is not None:
-        raise HypothesisViolation("function class mismatch", f"{f.id} is not {unmet}")
+    _check_function_class(spec, f)
     if spec.needs_nonneg:
         if inst.m < 0:
             raise HypothesisViolation("0 <= m", f"m = {inst.m}")
@@ -667,7 +702,7 @@ def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
             _check_nonneg([("A", inst.A)], tol, "A")
         elif isinstance(inst, MultiQuadrupleInstance):
             _check_nonneg([(f"A_{i}", q.A) for i, q in enumerate(inst.quadruples)], tol, "A_i")
-    if spec.condition == "equal-sum" and isinstance(inst, QuadrupleInstance):
+    if spec.condition == "equal-sum":
         _check_equal_sum(inst, tol, relaxed)
     elif spec.condition == "either-condition":
         _check_sum_condition(inst, f, tol, relaxed)
@@ -774,12 +809,13 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     """
     spec = resolve_theorem(theorem)
     _check_relaxation(spec, relaxation)
+    _check_function_class(spec, f)
     if budget < 0:
         raise ConfigError(f"budget: must be >= 0, got {budget!r}")
     check_tolerance(tol)
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
-    dims = tuple(dims)
+    dims = check_dims(dims)
     if spec.map_mode == "single":
         for dim in dims:
             misfit = map_misfit(map_spec, dim)

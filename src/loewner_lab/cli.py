@@ -17,7 +17,7 @@ from .campaign import CampaignConfig, emit_report, run_campaign
 from .chains import build_chain, evaluate_chain, hunt_counterexample, resolve_theorem
 from .errors import ConfigError, IoError, LoewnerLabError
 from .functions import parse_function_spec
-from .hermitian import MAX_DIM, check_tolerance
+from .hermitian import DEFAULT_PSD_TOL, check_dims, check_tolerance
 from .instances import instance_from_dict
 from .maps import sample_map
 from .serialize import dumps_canonical
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--instance", required=True, help="path to the instance JSON file")
     p_verify.add_argument("--function", required=True, help='function spec, e.g. "exp" or "pow:p=-1"')
     p_verify.add_argument("--map", default="identity", help="map spec for single-map theorems")
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL)
     p_verify.add_argument("--seed", type=int, default=0, help="seed for map realization")
 
     p_campaign = sub.add_parser("campaign", help="run a configured verification campaign")
@@ -62,22 +62,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--dims", default="1,2,3", help="comma-separated dimensions to cycle")
     p_hunt.add_argument("--m", type=float, default=1.0)
     p_hunt.add_argument("--M", type=float, default=2.0)
-    p_hunt.add_argument("--tol", type=float, default=1e-9)
+    p_hunt.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL)
     return parser
+
+
+def _read_json(path, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read {what} file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise IoError(f"{what} file is not valid JSON: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:
     check_tolerance(args.tol)
     spec = resolve_theorem(args.theorem)
     f = parse_function_spec(args.function)
-    try:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoError(f"instance file is not valid JSON: {exc}") from exc
-    inst = instance_from_dict(payload)
+    inst = instance_from_dict(_read_json(args.instance, "instance"))
     maps = None
     if spec.map_mode == "single":
         maps = sample_map(args.map, inst.dim, args.seed)
@@ -88,17 +91,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoError(f"config file is not valid JSON: {exc}") from exc
+    payload = _read_json(args.config, "config")
     if args.seed is not None:
         payload["seed"] = args.seed
     config = CampaignConfig.from_dict(payload)
-    report = run_campaign(config, jobs=max(1, args.jobs))
+    report = run_campaign(config, jobs=args.jobs)
     emit_report(report, args.out)
     ran = [c for c in report.cells if not c.skipped]
     skipped = len(report.cells) - len(ran)
@@ -111,11 +108,10 @@ def _cmd_campaign(args) -> int:
 def _cmd_hunt(args) -> int:
     f = parse_function_spec(args.function)
     try:
-        dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
+        dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError:
-        dims = ()
-    if not dims or any(not 1 <= d <= MAX_DIM for d in dims):
-        raise ConfigError(f"--dims: entries must be integers in 1..{MAX_DIM}, got {args.dims!r}")
+        raise ConfigError(f"--dims: entries must be integers, got {args.dims!r}") from None
+    dims = check_dims(dims, "--dims")
     result = hunt_counterexample(
         args.theorem, args.relax, args.budget, args.seed, f,
         map_spec=args.map, dims=dims, m=args.m, M=args.M, tol=args.tol,

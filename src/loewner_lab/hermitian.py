@@ -221,6 +221,7 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
     if want_vectors:
         stacked[n:] = np.eye(n)
     a = stacked[:n]
+    a_imag = a.imag
     cols = list(stacked.T)
     rows = list(a)
     # The rotation's c, s e^{i phi} and its conjugate, held in 0-d complex
@@ -266,11 +267,12 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
                 new_q = sin_conj * row_p + cos_ * row_q
                 row_p[...] = new_p
                 row_q[...] = new_q
-                # Numerical hygiene: the rotation zeroes (p, q) exactly.
+                # Numerical hygiene: the rotation zeroes (p, q) exactly and
+                # leaves a real diagonal.
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
+                a_imag[p, p] = 0.0
+                a_imag[q, q] = 0.0
     raise NonConvergence(
         f"Jacobi sweeps exhausted ({JACOBI_SWEEP_BUDGET}) at dim {n}; "
         f"off-diagonal norm still above {threshold:.3e}"
@@ -357,6 +359,18 @@ def check_tolerance(tol: float) -> None:
     """A PSD tolerance must be a finite number >= 0."""
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"tol: must be a finite number >= 0, got {tol!r}")
+
+
+def check_dims(dims, name: str = "dims") -> tuple:
+    """Dimensions to sample at must be a non-empty sequence of integers (not
+    bools) in 1..MAX_DIM; returns them as a tuple."""
+    dims = tuple(dims)
+    if not dims:
+        raise ConfigError(f"{name}: must be non-empty")
+    for d in dims:
+        if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= MAX_DIM:
+            raise ConfigError(f"{name}: entries must be integers in 1..{MAX_DIM}, got {d!r}")
+    return dims
 
 
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_PSD_TOL) -> LoewnerVerdict:

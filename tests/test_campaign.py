@@ -114,6 +114,14 @@ def test_campaign_deterministic_across_runs_and_jobs():
     assert len(blobs) == 1
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
+def test_run_campaign_rejects_bad_jobs(jobs):
+    cfg = CampaignConfig.from_dict(small_config())
+    with pytest.raises(ConfigError) as err:
+        run_campaign(cfg, jobs=jobs)
+    assert "jobs" in str(err.value)
+
+
 def test_campaign_seed_changes_results():
     r1 = run_campaign(CampaignConfig.from_dict(small_config(seed=1)))
     r2 = run_campaign(CampaignConfig.from_dict(small_config(seed=2)))

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+import loewner_lab.chains as chains
 from loewner_lab.errors import (
+    ConfigError,
     HypothesisViolation,
     ShapeMismatch,
     UnknownRelaxation,
@@ -403,6 +405,17 @@ def test_hunt_unknown_relaxation():
         hunt_counterexample("lc-map", "cond-i-f", 10, 0, exp_function())
     with pytest.raises(UnknownRelaxation):
         hunt_counterexample("lc-mid", "cond-i-f", 10, 0, exp_function())
+
+
+@pytest.mark.parametrize("dims", [(), (0,), (17,), (1, True)])
+def test_hunt_rejects_bad_dims_before_sampling(dims, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the dims")
+
+    monkeypatch.setattr(chains, "sample_instance_for", refuse)
+    with pytest.raises(ConfigError) as err:
+        hunt_counterexample("lc-quad", None, 5, 0, exp_function(), dims=dims)
+    assert "dims" in str(err.value)
 
 
 def test_hunt_deterministic():

@@ -176,6 +176,7 @@ def no_sampling(monkeypatch):
     (["--dims", "1,a"], "--dims"),
     (["--theorem", "sq-map", "--function", "pow:p=2", "--map", "pinching:blocks=0|1",
       "--dims", "2,3"], "not a partition of 0..2"),
+    (["--theorem", "sq-map"], "function class mismatch: exp is not superquadratic"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])
@@ -227,6 +228,15 @@ def test_campaign_unknown_map_spec_exit_2(tmp_path, capsys):
     rc = main(["campaign", "--config", path, "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "map_specs" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_campaign_jobs_below_1_exit_2(jobs, tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", campaign_config())
+    rc = main(["campaign", "--config", path, "--out", str(tmp_path / "r.json"), "--jobs", jobs])
+    assert rc == 2
+    assert "jobs" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
