@@ -25,12 +25,15 @@ from .chains import (
     sample_instance_for,
 )
 from .functions import parse_function_spec
-from .hermitian import check_dims
-from .maps import map_misfit, parse_family_spec, parse_map_spec, sample_map
+from .hermitian import check_dims, eigendecompose_many
+from .maps import check_map_spec, map_misfit, parse_family_spec, sample_map
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
 
 _NO_MAP_LABEL = "-"
+# A cell runs its instances in windows of this many, which bounds what it
+# holds at once while leaving stacks large enough to batch.
+CELL_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,8 @@ class CampaignConfig:
         if not self.map_specs:
             raise ConfigError("map_specs: must be non-empty")
         for s in self.map_specs:
-            parse = parse_family_spec if s.startswith("family") else parse_map_spec
             try:
-                parse(s)
+                check_map_spec(s)
             except (SpecParseError, UnknownKind) as exc:
                 raise ConfigError(f"map_specs: {exc}") from None
         check_dims(self.dims)
@@ -239,39 +241,77 @@ def _run_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
     ranges = _compatible_ranges(spec, f, config.mm_ranges)
     family_size = parse_family_spec(map_spec) if spec.map_mode == "family" else 3
 
-    passes = fails = equalities = 0
-    min_eig: float | None = None
-    failing: list[str] = []
-    for i in range(config.instances_per_cell):
+    def draw(i: int):
         rng = spawn_rng(config.seed, cell_index, i)
         lo, hi = ranges[i % len(ranges)]
         m, big_m = _draw_mm(rng, float(lo), float(hi))
-        try:
-            inst = sample_instance_for(spec, f, dim, m, big_m, rng,
-                                       family_size=family_size)
-            maps = sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
-            chain = build_chain(spec.id, inst, f, maps, tol=config.tol)
-            report = evaluate_chain(chain, config.tol, seed=config.seed)
-        except LoewnerLabError as exc:
+        inst = sample_instance_for(spec, f, dim, m, big_m, rng, family_size=family_size)
+        maps = sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
+        return inst, maps
+
+    count = config.instances_per_cell
+    outcomes = (outcome for start in range(0, count, CELL_WINDOW)
+                for outcome in _run_window(range(start, min(start + CELL_WINDOW, count)),
+                                           draw, spec, f, config))
+    passes = fails = equalities = 0
+    min_eig: float | None = None
+    failing: list[str] = []
+    for outcome in outcomes:
+        if isinstance(outcome, LoewnerLabError):
             fails += 1
             if len(failing) < 5:
-                failing.append(f"error:{type(exc).__name__}:{exc}")
+                failing.append(f"error:{type(outcome).__name__}:{outcome}")
             continue
-        cell_min = report.min_link_eigenvalue
+        cell_min = outcome.min_link_eigenvalue
         min_eig = cell_min if min_eig is None else min(min_eig, cell_min)
-        equalities += report.equality_links
-        if report.passed:
+        equalities += outcome.equality_links
+        if outcome.passed:
             passes += 1
         else:
             fails += 1
             if len(failing) < 5:
-                failing.append(report.instance_digest)
+                failing.append(outcome.instance_digest)
     return CellResult(
         theorem=spec.id, function=f_spec, map_spec=label, dim=dim,
         pass_count=passes, fail_count=fails,
         min_link_eigenvalue=min_eig, equality_links=equalities,
         failing=tuple(failing),
     )
+
+
+def _run_window(indices, draw, spec, f, config: CampaignConfig) -> list:
+    """The outcome of each instance, in order: its ChainReport, or the
+    LoewnerLabError that stopped it.
+
+    Three stages, so that the eigensolver sees same-dimension stacks:
+    (a) draw every instance and map on its own stream; (b) decompose the
+    spectra that validation reads; (c) build every chain, decompose the
+    link differences, and evaluate.  An instance's values do not depend on
+    the order of this work, and ``eigendecompose_many`` leaves anything it
+    could not finish to the serial path, so outcomes and error messages
+    are those of one instance at a time.
+    """
+    outcomes: dict = {}
+    drawn: dict = {}
+    for i in indices:
+        try:
+            drawn[i] = draw(i)
+        except LoewnerLabError as exc:
+            outcomes[i] = exc
+    eigendecompose_many(mat for inst, _ in drawn.values() for mat in inst.validation_operands())
+    chains: dict = {}
+    for i, (inst, maps) in drawn.items():
+        try:
+            chains[i] = build_chain(spec.id, inst, f, maps, tol=config.tol)
+        except LoewnerLabError as exc:
+            outcomes[i] = exc
+    eigendecompose_many(diff for chain in chains.values() for diff in chain.differences)
+    for i, chain in chains.items():
+        try:
+            outcomes[i] = evaluate_chain(chain, config.tol, seed=config.seed)
+        except LoewnerLabError as exc:
+            outcomes[i] = exc
+    return [outcomes[i] for i in indices]
 
 
 def plan_cells(config: CampaignConfig):

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +71,7 @@ from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance
                         QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
                         sample_midpoint, sample_quadruple, sample_quadruple_family,
                         validate_instance)
-from .maps import MapFamily, PositiveUnitalMap, map_misfit, sample_map
+from .maps import MapFamily, PositiveUnitalMap, check_map_spec, map_misfit, sample_map
 from .seeding import spawn_rng
 
 RELAXATIONS = ("cond-i-f", "cond-i-sum", "cond-ii-f", "cond-ii-sum", "equal-sum")
@@ -131,14 +132,19 @@ def superquadratic_penalty(f: FunctionDescriptor, m: float, M: float) -> Functio
 # ---------------------------------------------------------------------------
 
 
+def _digest_of(instance) -> str:
+    return instance.digest() if instance is not None else ""
+
+
 @dataclass(frozen=True)
 class ExpressionChain:
-    """Ordered Hermitian terms asserted pairwise comparable, ascending."""
+    """Ordered Hermitian terms asserted pairwise comparable, ascending, and
+    the instance they were built on (its digest is computed only when read)."""
 
     theorem: str
     terms: tuple
     labels: tuple
-    instance_digest: str = ""
+    instance: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.terms) < 2:
@@ -146,6 +152,17 @@ class ExpressionChain:
         dims = {t.dim for t in self.terms}
         if len(dims) != 1:
             raise ShapeMismatch(f"chain terms live in different dimensions: {sorted(dims)}")
+
+    @property
+    def instance_digest(self) -> str:
+        return _digest_of(self.instance)
+
+    @cached_property
+    def differences(self) -> tuple:
+        """upper - lower of every link, built once: ``evaluate_chain`` judges
+        each link by this object's spectrum, so a caller can decompose them
+        all ahead of it."""
+        return tuple(hi - lo for lo, hi in zip(self.terms, self.terms[1:]))
 
 
 @dataclass(frozen=True)
@@ -165,8 +182,12 @@ class ChainReport:
     links: tuple
     passed: bool
     tolerance: float
-    instance_digest: str = ""
+    instance: object = field(default=None, repr=False, compare=False)
     seed: int | None = None
+
+    @property
+    def instance_digest(self) -> str:
+        return _digest_of(self.instance)
 
     @property
     def min_link_eigenvalue(self) -> float:
@@ -208,8 +229,9 @@ def evaluate_chain(chain: ExpressionChain, tol: float = DEFAULT_PSD_TOL,
     """
     links = []
     ok = True
-    for lo, hi, l_lo, l_hi in zip(chain.terms, chain.terms[1:], chain.labels, chain.labels[1:]):
-        verdict = loewner_leq(lo, hi, tol)
+    for lo, hi, diff, l_lo, l_hi in zip(chain.terms, chain.terms[1:], chain.differences,
+                                         chain.labels, chain.labels[1:]):
+        verdict = loewner_leq(lo, hi, tol, diff=diff)
         diff_norm = float(np.linalg.norm(hi.entries - lo.entries))
         equality = diff_norm <= EQUALITY_TOL * max(1.0, lo.fro_norm, hi.fro_norm)
         holds = verdict.min_eigenvalue_of_difference >= -verdict.tolerance_used
@@ -230,7 +252,7 @@ def evaluate_chain(chain: ExpressionChain, tol: float = DEFAULT_PSD_TOL,
         links=tuple(links),
         passed=ok,
         tolerance=tol,
-        instance_digest=chain.instance_digest,
+        instance=chain.instance,
         seed=seed,
     )
 
@@ -249,7 +271,7 @@ def _check_sum_condition(inst: QuadrupleInstance, f: FunctionDescriptor,
     """Condition (i): B+C <= A+D and f(m) <= f(M); condition (ii) is the
     mirror image.  ``relaxed`` names the single clause to skip."""
     fm, fM = f(inst.m), f(inst.M)
-    verdict = loewner_leq(inst.B + inst.C, inst.A + inst.D, tol)
+    verdict = inst.sum_verdict(tol)
     sum_leq, sum_geq = verdict.is_leq, verdict.is_geq
     f_i, f_ii = _f_leq(fm, fM, tol), _f_leq(fM, fm, tol)
     kept = {  # relaxation -> the other clause of its condition, which must hold
@@ -721,7 +743,7 @@ def _compile(spec: TheoremSpec, terms, name: str, instance, f, maps) -> Expressi
         theorem=name,
         terms=tuple(evaluator.fold(t.atoms) for t in terms),
         labels=tuple(t.label for t in terms),
-        instance_digest=instance.digest(),
+        instance=instance,
     )
 
 
@@ -810,8 +832,8 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     spec = resolve_theorem(theorem)
     _check_relaxation(spec, relaxation)
     _check_function_class(spec, f)
-    if budget < 0:
-        raise ConfigError(f"budget: must be >= 0, got {budget!r}")
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise ConfigError(f"budget: must be an integer >= 0, got {budget!r}")
     check_tolerance(tol)
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
@@ -821,6 +843,8 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
             misfit = map_misfit(map_spec, dim)
             if misfit is not None:
                 raise ConfigError(f"dims: map {map_spec!r} cannot act at dim {dim}: {misfit}")
+    else:  # unused, but a malformed spec is still an error, as in a campaign
+        check_map_spec(map_spec)
     for attempt in range(budget):
         rng = spawn_rng(seed, attempt)
         dim = dims[attempt % len(dims)]

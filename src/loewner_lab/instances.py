@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class _Instance:
 
     def digest(self) -> str:
         return digest(self.to_dict())
+
+    def validation_operands(self) -> tuple:
+        """Every matrix whose spectrum ``validate_instance`` reads, so that a
+        caller can decompose them ahead of it (``eigendecompose_many``)."""
+        raise NotImplementedError
 
     def _bound_violations(self, name: str, mat: HermitianMatrix, tol: float, lower=None,
                           upper=None, nonneg: bool = False) -> list[str]:
@@ -158,6 +164,21 @@ class QuadrupleInstance(_Instance):
             nonneg_A=bool(obj.get("nonneg_A", False)),
         )
 
+    @cached_property
+    def _sum_sides(self) -> tuple:
+        lhs, rhs = self.B + self.C, self.A + self.D
+        return lhs, rhs, rhs - lhs
+
+    def sum_verdict(self, tol: float):
+        """B+C against A+D in the Loewner order.  The difference is built
+        once per instance, so validation and a chain's sum hypothesis read
+        one decomposition of it."""
+        lhs, rhs, diff = self._sum_sides
+        return loewner_leq(lhs, rhs, tol, diff=diff)
+
+    def validation_operands(self) -> tuple:
+        return self.A, self.B, self.C, self.D, self._sum_sides[2]
+
     def _violations(self, tol: float) -> list[str]:
         named = (("A", self.A), ("B", self.B), ("C", self.C), ("D", self.D))
         out = [f"{name} has dim {mat.dim}, expected {self.dim}"
@@ -167,7 +188,7 @@ class QuadrupleInstance(_Instance):
         out += self._bound_violations("C", self.C, tol, lower="m", upper="M")
         out += self._bound_violations("D", self.D, tol, lower="M")
 
-        verdict = loewner_leq(self.B + self.C, self.A + self.D, tol)
+        verdict = self.sum_verdict(tol)
         lo, hi = verdict.min_eigenvalue_of_difference, verdict.max_eigenvalue_of_difference
         if self.relation is SumRelation.EQUAL and verdict.relation is not Relation.EQUAL:
             out.append(f"A+D = B+C violated: spectrum of difference in [{lo!r}, {hi!r}]")
@@ -215,6 +236,9 @@ class MercerInstance(_FamilyInstance):
         return cls(B_list=b_list, m=float(obj["m"]), M=float(obj["M"]),
                    **cls._family_from_dict(obj, b_list, "operators"))
 
+    def validation_operands(self) -> tuple:
+        return self.B_list
+
     def _violations(self, tol: float) -> list[str]:
         out: list[str] = []
         for i, b in enumerate(self.B_list):
@@ -239,8 +263,12 @@ class MidpointInstance(_Instance):
     def dim(self) -> int:
         return self.A.dim
 
+    @cached_property
     def midpoint(self) -> HermitianMatrix:
         return 0.5 * (self.A + self.D)
+
+    def validation_operands(self) -> tuple:
+        return self.A, self.D, self.midpoint
 
     def to_dict(self) -> dict:
         return {
@@ -264,7 +292,7 @@ class MidpointInstance(_Instance):
     def _violations(self, tol: float) -> list[str]:
         return (self._bound_violations("A", self.A, tol, upper="m", nonneg=self.nonneg_A)
                 + self._bound_violations("D", self.D, tol, lower="M")
-                + self._bound_violations("(A+D)/2", self.midpoint(), tol, lower="m", upper="M"))
+                + self._bound_violations("(A+D)/2", self.midpoint, tol, lower="m", upper="M"))
 
 
 @dataclass(frozen=True)
@@ -296,6 +324,9 @@ class MultiQuadrupleInstance(_FamilyInstance):
         quads = tuple(QuadrupleInstance.from_dict(it) for it in obj["quadruples"])
         return cls(quadruples=quads, m=float(obj["m"]), M=float(obj["M"]),
                    **cls._family_from_dict(obj, quads, "quadruples"))
+
+    def validation_operands(self) -> tuple:
+        return tuple(mat for q in self.quadruples for mat in q.validation_operands())
 
     def _violations(self, tol: float) -> list[str]:
         out = []

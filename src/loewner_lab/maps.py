@@ -371,6 +371,11 @@ def sample_map_family(n: int, dim: int, seed) -> MapFamily:
     return MapFamily(maps=tuple(members))
 
 
+def check_map_spec(spec: str) -> None:
+    """Parse a single-map or family spec without drawing anything."""
+    (parse_family_spec if str(spec).startswith("family") else parse_map_spec)(spec)
+
+
 def parse_family_spec(spec: str) -> int:
     """Extract n from "family:n=<int>"."""
     head, _, tail = str(spec).partition(":")

@@ -12,9 +12,11 @@ import pytest
 
 import scalar_oracle as oracle
 import loewner_lab.chains as chains
+import loewner_lab.hermitian as herm
 from loewner_lab.errors import (
     ConfigError,
     HypothesisViolation,
+    LoewnerLabError,
     ShapeMismatch,
     UnknownRelaxation,
     UnknownTheorem,
@@ -34,6 +36,7 @@ from loewner_lab.functions import (
     FunctionDescriptor,
     Interval,
     exp_function,
+    parse_function_spec,
     power_function,
     tilde_t,
 )
@@ -416,6 +419,49 @@ def test_hunt_rejects_bad_dims_before_sampling(dims, monkeypatch):
     with pytest.raises(ConfigError) as err:
         hunt_counterexample("lc-quad", None, 5, 0, exp_function(), dims=dims)
     assert "dims" in str(err.value)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "3"])
+def test_hunt_rejects_non_integer_budget_before_sampling(budget, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the budget")
+
+    monkeypatch.setattr(chains, "sample_instance_for", refuse)
+    with pytest.raises(ConfigError) as err:
+        hunt_counterexample("lc-quad", None, budget, 0, exp_function())
+    assert "budget" in str(err.value)
+
+
+@pytest.mark.parametrize("tid", ["lc-quad", "lc-multi"])
+def test_hunt_parses_the_map_spec_of_every_theorem(tid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the map spec")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(chains, "sample_instance_for", refuse)
+        with pytest.raises(LoewnerLabError) as err:
+            hunt_counterexample(tid, None, 2, 0, exp_function(), map_spec="bogus")
+    assert "bogus" in str(err.value)
+    for spec in ("identity", "family:n=3"):
+        assert hunt_counterexample(tid, None, 1, 0, exp_function(), map_spec=spec) is None
+
+
+@pytest.mark.parametrize("tid, f_spec", [("LC-QUAD", "exp"), ("SQ-QUAD", "pow:p=2")])
+def test_build_decomposes_no_operand_twice(tid, f_spec, monkeypatch):
+    # Validation and the condition (i)/(ii) check compare the same B+C and
+    # A+D, so their difference must be decomposed once, not once for each.
+    spec, f = THEOREMS[tid], parse_function_spec(f_spec)
+    inst = sample_instance_for(spec, f, 4, 0.5, 2.0, spawn_rng(61, 2))
+    operands = []
+    kernel = herm._jacobi
+
+    def counting(matrix, want_vectors):
+        operands.append(matrix.tobytes())
+        return kernel(matrix, want_vectors)
+
+    monkeypatch.setattr(herm, "_jacobi", counting)
+    build_chain(tid, inst, f)
+    assert operands and len(operands) == len(set(operands))
 
 
 def test_hunt_deterministic():

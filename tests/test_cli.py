@@ -177,6 +177,8 @@ def no_sampling(monkeypatch):
     (["--theorem", "sq-map", "--function", "pow:p=2", "--map", "pinching:blocks=0|1",
       "--dims", "2,3"], "not a partition of 0..2"),
     (["--theorem", "sq-map"], "function class mismatch: exp is not superquadratic"),
+    (["--map", "bogus"], "bogus"),
+    (["--theorem", "lc-multi", "--map", "bogus"], "bogus"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])

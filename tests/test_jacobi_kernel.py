@@ -1,8 +1,9 @@
-"""The Jacobi kernel against the reference loop, bit for bit.
+"""The Jacobi kernels against the reference loop, bit for bit.
 
 Every pinned report digest depends on the last bits of the spectra, so the
-runtime kernel must return the same bytes as the reference loop in
-``jacobi_reference`` for eigenvalues and eigenvectors alike.
+runtime kernel, and the batched kernel on every member of a stack, must
+return the same bytes as the reference loop in ``jacobi_reference`` for
+eigenvalues and eigenvectors alike.
 """
 
 import numpy as np
@@ -10,7 +11,13 @@ import pytest
 
 from jacobi_reference import reference_jacobi
 from loewner_lab import hermitian as herm
-from loewner_lab.hermitian import HermitianMatrix, eigendecompose, eigenvalues_of
+from loewner_lab.errors import NonConvergence
+from loewner_lab.hermitian import (
+    HermitianMatrix,
+    eigendecompose,
+    eigendecompose_many,
+    eigenvalues_of,
+)
 
 KINDS = ("real", "complex", "near-diagonal", "zero", "repeated", "integer")
 
@@ -66,3 +73,76 @@ def test_eigenvalues_then_vectors_run_jacobi_once(monkeypatch):
     dec = eigendecompose(m)
     assert len(calls) == 1
     assert lam is dec.eigenvalues
+
+
+def _mixed_stack(dim: int) -> list:
+    """The six kinds, plus random members scaled far apart and a diagonal
+    one: members that converge at sweep 0, after one sweep (near-diagonal)
+    and after several, and zero-norm members that take the serial path."""
+    rng = np.random.default_rng([dim, 99])
+    extra = []
+    for scale in (1e-150, 1.0, 1e5):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        extra.append(HermitianMatrix(scale * g).entries)
+    extra.append(HermitianMatrix(np.diag(rng.normal(size=dim))).entries)
+    return [_operand(dim, kind) for kind in KINDS] + extra + [_operand(dim, "zero")]
+
+
+@pytest.mark.parametrize("want_vectors", [True, False])
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_batched_kernel_matches_reference_bytes(dim, want_vectors):
+    stack = _mixed_stack(dim)
+    results = herm._jacobi_many(stack, want_vectors)
+    assert len(results) == len(stack)
+    for index, (matrix, result) in enumerate(zip(stack, results)):
+        ref_lam, ref_vec = reference_jacobi(matrix, want_vectors)
+        assert result is not None, (dim, index)
+        assert _same_bytes(result[0], ref_lam), (dim, index, want_vectors)
+        assert _same_bytes(result[1], ref_vec), (dim, index, want_vectors)
+
+
+def test_eigendecompose_many_fills_caches_with_serial_bytes():
+    rng = np.random.default_rng(5)
+    matrices = [HermitianMatrix(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for d in [3] * herm.BATCH_MIN + [6] * (2 * herm.BATCH_MAX + 1)]
+    small = HermitianMatrix(rng.normal(size=(5, 5)))  # a group below BATCH_MIN
+    eigendecompose_many(matrices + [small, matrices[0]])
+    assert small._eig is None
+    for matrix in matrices:
+        assert matrix._eig is not None
+        lam, vec = reference_jacobi(matrix.entries, True)
+        assert _same_bytes(matrix._eig.eigenvalues, lam)
+        assert _same_bytes(matrix._eig.vectors, vec)
+
+
+def test_eigendecompose_many_splits_large_groups_evenly(monkeypatch):
+    sizes = []
+    kernel = herm._jacobi_many
+
+    def recording(stack, want_vectors):
+        sizes.append(len(stack))
+        return kernel(stack, want_vectors)
+
+    monkeypatch.setattr(herm, "_jacobi_many", recording)
+    rng = np.random.default_rng(6)
+    count = 2 * herm.BATCH_MAX + 1
+    eigendecompose_many([HermitianMatrix(rng.normal(size=(2, 2))) for _ in range(count)])
+    assert sum(sizes) == count and len(sizes) == 3
+    assert max(sizes) <= herm.BATCH_MAX and max(sizes) - min(sizes) <= 1
+
+
+def test_eigendecompose_many_leaves_non_converging_members_unfilled(monkeypatch):
+    monkeypatch.setattr(herm, "JACOBI_SWEEP_BUDGET", 1)
+    rng = np.random.default_rng(8)
+    hard = [HermitianMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+            for _ in range(herm.BATCH_MIN)]
+    easy = HermitianMatrix(np.diag(np.arange(6.0)))
+    eigendecompose_many(hard + [easy])  # never raises
+    assert easy._eig is not None
+    for matrix in hard:
+        assert matrix._eig is None
+        with pytest.raises(NonConvergence) as batched:
+            eigendecompose(matrix)
+        with pytest.raises(NonConvergence) as serial:
+            herm._jacobi(matrix.entries, True)
+        assert str(batched.value) == str(serial.value)
