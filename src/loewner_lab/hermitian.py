@@ -43,7 +43,7 @@ JACOBI_SWEEP_BUDGET = 64
 # eigendecompose_many leaves a same-dimension group smaller than this to the
 # serial kernel: below it the batched kernel's numpy calls per rotation cost
 # more than the serial calls they replace (break-even measured at 4 to 6
-# members at dims 2 to 8 and about 6 at dim 16).
+# members across dims 2 to 16).
 BATCH_MIN = 6
 # ... and splits a larger group into near-equal stacks of at most BATCH_MAX,
 # which bounds the kernel's working array (8 KB per member at dim 16) and so
@@ -299,14 +299,15 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
 def _jacobi_many(stack, want_vectors: bool) -> list:
     """``_jacobi`` on a stack of same-dimension Hermitian matrices at once.
 
-    Returns one ``(eigenvalues, vectors or None)`` per member, the bytes
-    ``_jacobi`` returns for it, or None for a member that has not converged
-    within the sweep budget; it never raises.  Members rotate in the
-    kernel's cyclic p < q order, one vectorized update per pair; each keeps
-    its own threshold and skip, a member whose (p, q) entry is below its
-    skip is left out of that rotation, and a converged member leaves the
-    stack at the sweep where ``_jacobi`` would return.  Zero-norm and 1x1
-    members take ``_jacobi`` itself.
+    ``stack`` is a sequence of square arrays of one dimension.  Returns one
+    ``(eigenvalues, vectors or None)`` per member, the bytes ``_jacobi``
+    returns for it, or None for a member that has not converged within the
+    sweep budget; it never raises.  Members rotate in the kernel's cyclic
+    p < q order, one vectorized update per pair; each keeps its own
+    threshold and skip, a member whose (p, q) entry is not above its skip
+    sits that rotation out, and a converged member leaves the stack at the
+    sweep where ``_jacobi`` would return.  Zero-norm and 1x1 members take
+    ``_jacobi`` itself.
 
     Member m holds the columns of its ``[A; V]`` as rows ``work[m, j]``, so
     a column update is contiguous and a row update of A strided, as in
@@ -334,7 +335,6 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
     work = np.zeros((ids.size, n, 2 * n if want_vectors else n), dtype=np.complex128)
     for m, (_, a) in enumerate(live):
         work[m, :, :n] = a.T
-    del live
     if want_vectors:
         work[:, :, n:] = np.eye(n)
     work_real, work_imag = work.real, work.imag
@@ -359,6 +359,8 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
             for q in range(p + 1, n):
                 apq = work[:, q, p]
                 beta = np.hypot(apq.real, apq.imag)
+                # A NaN entry would rotate in _jacobi and not here, but it
+                # makes the member's threshold NaN: it converges in neither.
                 busy = beta > skip
                 count = np.count_nonzero(busy)
                 if not count:

@@ -41,6 +41,11 @@ def test_campaign_report_is_byte_identical(jobs):
     assert _report_sha(jobs) == GOLDEN_SHA256
 
 
+def test_campaign_report_does_not_depend_on_the_cell_window(monkeypatch):
+    monkeypatch.setattr(campaign, "CELL_WINDOW", 2)
+    assert _report_sha(1) == GOLDEN_SHA256
+
+
 def _digest_of(cfg: CampaignConfig, cell_index: int, instance_index: int) -> str:
     """The instance digest, drawn again on the campaign's own stream."""
     spec = resolve_theorem(cfg.theorem_ids[0])
