@@ -18,22 +18,18 @@ from . import __version__
 from .errors import ConfigError, IoError, LoewnerLabError, SpecParseError, UnknownKind
 from .chains import (
     THEOREMS,
-    build_chain,
-    evaluate_chain,
+    instance_outcomes,
     needs_nonneg_instances,
     resolve_theorem,
     sample_instance_for,
 )
 from .functions import parse_function_spec
-from .hermitian import check_dims, eigendecompose_many
+from .hermitian import check_dims
 from .maps import check_map_spec, map_misfit, parse_family_spec, sample_map
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
 
 _NO_MAP_LABEL = "-"
-# A cell runs its instances in windows of this many, which bounds what it
-# holds at once while leaving stacks large enough to batch.
-CELL_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -246,13 +242,10 @@ def _run_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
         lo, hi = ranges[i % len(ranges)]
         m, big_m = _draw_mm(rng, float(lo), float(hi))
         inst = sample_instance_for(spec, f, dim, m, big_m, rng, family_size=family_size)
-        maps = sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
-        return inst, maps
+        return inst, sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
 
-    count = config.instances_per_cell
-    outcomes = (outcome for start in range(0, count, CELL_WINDOW)
-                for outcome in _run_window(range(start, min(start + CELL_WINDOW, count)),
-                                           draw, spec, f, config))
+    outcomes = instance_outcomes(config.instances_per_cell, draw, spec, f, config.tol,
+                                 seed=config.seed)
     passes = fails = equalities = 0
     min_eig: float | None = None
     failing: list[str] = []
@@ -277,41 +270,6 @@ def _run_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
         min_link_eigenvalue=min_eig, equality_links=equalities,
         failing=tuple(failing),
     )
-
-
-def _run_window(indices, draw, spec, f, config: CampaignConfig) -> list:
-    """The outcome of each instance, in order: its ChainReport, or the
-    LoewnerLabError that stopped it.
-
-    Three stages, so that the eigensolver sees same-dimension stacks:
-    (a) draw every instance and map on its own stream; (b) decompose the
-    spectra that validation reads; (c) build every chain, decompose the
-    link differences, and evaluate.  An instance's values do not depend on
-    the order of this work, and ``eigendecompose_many`` leaves anything it
-    could not finish to the serial path, so outcomes and error messages
-    are those of one instance at a time.
-    """
-    outcomes: dict = {}
-    drawn: dict = {}
-    for i in indices:
-        try:
-            drawn[i] = draw(i)
-        except LoewnerLabError as exc:
-            outcomes[i] = exc
-    eigendecompose_many(mat for inst, _ in drawn.values() for mat in inst.validation_operands())
-    chains: dict = {}
-    for i, (inst, maps) in drawn.items():
-        try:
-            chains[i] = build_chain(spec.id, inst, f, maps, tol=config.tol)
-        except LoewnerLabError as exc:
-            outcomes[i] = exc
-    eigendecompose_many(diff for chain in chains.values() for diff in chain.differences)
-    for i, chain in chains.items():
-        try:
-            outcomes[i] = evaluate_chain(chain, config.tol, seed=config.seed)
-        except LoewnerLabError as exc:
-            outcomes[i] = exc
-    return [outcomes[i] for i in indices]
 
 
 def plan_cells(config: CampaignConfig):

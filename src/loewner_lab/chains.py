@@ -59,14 +59,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, ShapeMismatch,
-                     UnknownRelaxation, UnknownTheorem)
+from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, LoewnerLabError,
+                     ShapeMismatch, UnknownRelaxation, UnknownTheorem)
 from .functions import (CONVEX, LOG_CONVEX, SUPERQUADRATIC, FunctionDescriptor, Interval,
                         interpolation_constants, tilde_t)
 from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_scalar_function,
-                        check_dims, check_tolerance, loewner_leq, spectral_bounds)
+                        check_dims, check_tolerance, eigendecompose_many, loewner_leq,
+                        spectral_bounds)
 from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
                         QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
                         sample_midpoint, sample_quadruple, sample_quadruple_family,
@@ -232,16 +231,14 @@ def evaluate_chain(chain: ExpressionChain, tol: float = DEFAULT_PSD_TOL,
     for lo, hi, diff, l_lo, l_hi in zip(chain.terms, chain.terms[1:], chain.differences,
                                          chain.labels, chain.labels[1:]):
         verdict = loewner_leq(lo, hi, tol, diff=diff)
-        diff_norm = float(np.linalg.norm(hi.entries - lo.entries))
-        equality = diff_norm <= EQUALITY_TOL * max(1.0, lo.fro_norm, hi.fro_norm)
-        holds = verdict.min_eigenvalue_of_difference >= -verdict.tolerance_used
-        ok = ok and holds
+        equality = diff.fro_norm <= EQUALITY_TOL * max(1.0, lo.fro_norm, hi.fro_norm)
+        ok = ok and verdict.is_leq
         links.append(
             LinkReport(
                 lower_label=l_lo,
                 upper_label=l_hi,
                 min_eigenvalue=verdict.min_eigenvalue_of_difference,
-                diff_fro_norm=diff_norm,
+                diff_fro_norm=diff.fro_norm,
                 verdict=verdict.relation.value,
                 equality=equality,
                 tolerance_used=verdict.tolerance_used,
@@ -290,11 +287,9 @@ def _check_sum_condition(inst: QuadrupleInstance, f: FunctionDescriptor,
 def _check_equal_sum(inst: QuadrupleInstance, tol: float, relaxed: str | None) -> None:
     if relaxed == "equal-sum":
         return
-    lhs = inst.B + inst.C
-    rhs = inst.A + inst.D
-    gap = float(np.linalg.norm(rhs.entries - lhs.entries))
-    if gap > tol * max(1.0, lhs.fro_norm + rhs.fro_norm):
-        raise HypothesisViolation("A+D = B+C", f"difference norm {gap:.3e}")
+    lhs, rhs, diff = inst._sum_sides
+    if diff.fro_norm > tol * max(1.0, lhs.fro_norm + rhs.fro_norm):
+        raise HypothesisViolation("A+D = B+C", f"difference norm {diff.fro_norm:.3e}")
 
 
 def _check_nonneg(matrices, tol: float, what: str) -> None:
@@ -801,12 +796,50 @@ def sample_instance_for(spec: TheoremSpec, f: FunctionDescriptor, dim: int,
     return sample_midpoint(dim, m, M, nonneg_A=nonneg, seed=rng)
 
 
-_RELAX_RELATION = {
-    # Relaxation -> relation to sample so that only the named clause breaks.
-    "cond-i-f": SumRelation.SUM_LEQ,
-    "cond-i-sum": SumRelation.SUM_GEQ,
-    "cond-ii-f": SumRelation.SUM_GEQ,
-    "cond-ii-sum": SumRelation.SUM_LEQ,
+# The instance pipeline runs this many instances at a time: enough for its
+# same-dimension stacks to reach BATCH_MIN, few enough to bound what it holds.
+WINDOW = 16
+
+
+def instance_outcomes(count: int, draw, spec: TheoremSpec, f: FunctionDescriptor, tol: float,
+                      *, seed: int | None, relaxed: str | None = None):
+    """Yield the ChainReport, or the LoewnerLabError that stopped it, of
+    instances 0..count-1 in order; ``draw(i)`` returns instance i and its map.
+
+    Each window draws every instance, decomposes the spectra validation reads
+    as same-dimension stacks, builds every chain, decomposes the link
+    differences as stacks, then evaluates.  Values do not depend on that
+    order, and ``eigendecompose_many`` leaves what it cannot finish to the
+    serial path, so outcomes and errors are those of one instance at a time.
+    """
+    for start in range(0, count, WINDOW):
+        indices = range(start, min(start + WINDOW, count))
+        outcomes, drawn, built = {}, {}, {}
+        for i in indices:
+            try:
+                drawn[i] = draw(i)
+            except LoewnerLabError as exc:
+                outcomes[i] = exc
+        eigendecompose_many(mat for inst, _ in drawn.values()
+                            for mat in inst.validation_operands())
+        for i, (inst, maps) in drawn.items():
+            try:
+                built[i] = build_chain(spec.id, inst, f, maps, relaxed=relaxed, tol=tol)
+            except LoewnerLabError as exc:
+                outcomes[i] = exc
+        eigendecompose_many(diff for chain in built.values() for diff in chain.differences)
+        for i, chain in built.items():
+            try:
+                outcomes[i] = evaluate_chain(chain, tol, seed=seed)
+            except LoewnerLabError as exc:
+                outcomes[i] = exc
+        yield from (outcomes[i] for i in indices)
+
+
+_RELAX_RELATIONS = {  # relations sampled in turn, so that only the named clause breaks
+    "cond-i-f": (SumRelation.SUM_LEQ,), "cond-ii-sum": (SumRelation.SUM_LEQ,),
+    "cond-i-sum": (SumRelation.SUM_GEQ,), "cond-ii-f": (SumRelation.SUM_GEQ,),
+    "equal-sum": (SumRelation.SUM_LEQ, SumRelation.SUM_GEQ),
 }
 
 
@@ -823,7 +856,7 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
                         dims=(1, 2, 3), m: float = 1.0, M: float = 2.0,
                         tol: float = DEFAULT_PSD_TOL) -> HuntResult | None:
     """Sample up to ``budget`` instances violating only the named hypothesis
-    and return the first whose chain fails, or None.
+    and return the first whose chain fails, or None; an error met first is raised.
 
     With ``relaxation=None`` the instances satisfy all hypotheses, so a
     non-None result would witness a bug rather than a sharp hypothesis.
@@ -837,6 +870,13 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     check_tolerance(tol)
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
+    if relaxation in RELAXATIONS[:4]:  # its f clause must fail if dropped, hold if kept
+        fm, fM = f(m), f(M)
+        lo, hi = (fm, fM) if relaxation.startswith("cond-i-") else (fM, fm)
+        if _f_leq(lo, hi, tol) == relaxation.endswith("-f"):
+            state = "holds" if relaxation.endswith("-f") else "fails"
+            raise HypothesisViolation(f"{relaxation} cannot break its clause alone",
+                                      f"its f clause {state} at f(m)={fm}, f(M)={fM}")
     dims = check_dims(dims)
     if spec.map_mode == "single":
         for dim in dims:
@@ -845,17 +885,20 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
                 raise ConfigError(f"dims: map {map_spec!r} cannot act at dim {dim}: {misfit}")
     else:  # unused, but a malformed spec is still an error, as in a campaign
         check_map_spec(map_spec)
-    for attempt in range(budget):
+    relations = _RELAX_RELATIONS.get(relaxation, (None,))
+
+    def draw(attempt: int):
         rng = spawn_rng(seed, attempt)
         dim = dims[attempt % len(dims)]
-        relation = _RELAX_RELATION.get(relaxation)
-        if relaxation == "equal-sum":
-            relation = (SumRelation.SUM_LEQ, SumRelation.SUM_GEQ)[attempt % 2]
-        inst = sample_instance_for(spec, f, dim, m, M, rng, relation=relation)
-        maps = sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
-        chain = build_chain(spec.id, inst, f, maps, relaxed=relaxation, tol=tol)
-        report = evaluate_chain(chain, tol, seed=seed)
-        if not report.passed:
-            return HuntResult(instance=inst, report=report,
+        inst = sample_instance_for(spec, f, dim, m, M, rng,
+                                   relation=relations[attempt % len(relations)])
+        return inst, sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
+
+    outcomes = instance_outcomes(budget, draw, spec, f, tol, seed=seed, relaxed=relaxation)
+    for attempt, outcome in enumerate(outcomes):
+        if isinstance(outcome, LoewnerLabError):
+            raise outcome
+        if not outcome.passed:
+            return HuntResult(instance=outcome.instance, report=outcome,
                               attempts=attempt + 1, attempt_index=attempt)
     return None

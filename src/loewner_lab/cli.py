@@ -116,25 +116,19 @@ def _cmd_hunt(args) -> int:
         args.theorem, args.relax, args.budget, args.seed, f,
         map_spec=args.map, dims=dims, m=args.m, M=args.M, tol=args.tol,
     )
-    if result is None:
-        print(dumps_canonical({
-            "found": False,
-            "theorem": resolve_theorem(args.theorem).id,
-            "relaxation": args.relax,
-            "budget": int(args.budget),
-            "seed": int(args.seed),
-        }))
-        return 0
-    print(dumps_canonical({
-        "found": True,
+    payload = {
+        "found": result is not None,
         "theorem": resolve_theorem(args.theorem).id,
         "relaxation": args.relax,
-        "attempt": int(result.attempt_index),
         "seed": int(args.seed),
-        "instance": result.instance.to_dict(),
-        "report": result.report.to_dict(),
-    }))
-    return 1
+    }
+    if result is None:
+        payload["budget"] = int(args.budget)
+    else:
+        payload.update(attempt=int(result.attempt_index), instance=result.instance.to_dict(),
+                       report=result.report.to_dict())
+    print(dumps_canonical(payload))
+    return 0 if result is None else 1
 
 
 def main(argv=None) -> int:

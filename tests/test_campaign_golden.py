@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from loewner_lab import campaign
+from loewner_lab import campaign, chains
 from loewner_lab.campaign import CampaignConfig, run_campaign
 from loewner_lab.chains import resolve_theorem, sample_instance_for
 from loewner_lab.errors import HypothesisViolation
@@ -42,7 +42,7 @@ def test_campaign_report_is_byte_identical(jobs):
 
 
 def test_campaign_report_does_not_depend_on_the_cell_window(monkeypatch):
-    monkeypatch.setattr(campaign, "CELL_WINDOW", 2)
+    monkeypatch.setattr(chains, "WINDOW", 2)
     assert _report_sha(1) == GOLDEN_SHA256
 
 
@@ -56,13 +56,14 @@ def _digest_of(cfg: CampaignConfig, cell_index: int, instance_index: int) -> str
     return sample_instance_for(spec, f, cfg.dims[0], m, big_m, rng).digest()
 
 
-@pytest.mark.parametrize("target", ["sample_instance_for", "build_chain"])
-def test_error_in_one_instance_keeps_serial_fold(target, monkeypatch):
+@pytest.mark.parametrize("module, target", [(campaign, "sample_instance_for"),
+                                            (chains, "build_chain")])
+def test_error_in_one_instance_keeps_serial_fold(module, target, monkeypatch):
     # An absurdly tight tolerance fails every chain, so each instance leaves
     # a digest in ``failing``; the second instance raises instead.
     cfg = CampaignConfig.from_dict(dict(
         GOLDEN_CONFIG, theorem_ids=["LC-QUAD"], dims=[5], instances_per_cell=4, tol=1e-30))
-    original = getattr(campaign, target)
+    original = getattr(module, target)
     calls = []
 
     def second_call_raises(*args, **kwargs):
@@ -71,7 +72,7 @@ def test_error_in_one_instance_keeps_serial_fold(target, monkeypatch):
             raise HypothesisViolation("injected", "second instance")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(campaign, target, second_call_raises)
+    monkeypatch.setattr(module, target, second_call_raises)
     cell, = run_campaign(cfg).cells
     assert (cell.pass_count, cell.fail_count) == (0, 4)
     assert list(cell.failing) == [

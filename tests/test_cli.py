@@ -179,6 +179,10 @@ def no_sampling(monkeypatch):
     (["--theorem", "sq-map"], "function class mismatch: exp is not superquadratic"),
     (["--map", "bogus"], "bogus"),
     (["--theorem", "lc-multi", "--map", "bogus"], "bogus"),
+    (["--relax", "cond-i-f"], "cond-i-f cannot break its clause alone: its f clause holds"),
+    (["--relax", "cond-ii-sum"], "cond-ii-sum cannot break its clause alone: its f clause fails"),
+    (["--relax", "cond-ii-f", "--function", "pow:p=-1"], "cond-ii-f cannot break"),
+    (["--relax", "cond-i-sum", "--function", "pow:p=-1"], "cond-i-sum cannot break"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])
