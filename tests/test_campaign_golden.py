@@ -57,7 +57,8 @@ def _digest_of(cfg: CampaignConfig, cell_index: int, instance_index: int) -> str
 
 
 @pytest.mark.parametrize("module, target", [(campaign, "sample_instance_for"),
-                                            (chains, "build_chain")])
+                                            (chains, "build_chain")],
+                         ids=["sample_instance_for", "build_chain"])
 def test_error_in_one_instance_keeps_serial_fold(module, target, monkeypatch):
     # An absurdly tight tolerance fails every chain, so each instance leaves
     # a digest in ``failing``; the second instance raises instead.
