@@ -1,9 +1,16 @@
 """Golden byte-identity of campaign reports, and the fold of cell outcomes.
 
-The report of a small campaign over the LC-QUAD, LC-MAP-V2 (mixed map) and
-LC-MULTI (family) cells at dims 5 and 8, three instances per cell, is pinned
-by SHA-256 at jobs 1 and 2.  How a cell schedules its sampling, validation,
-chain builds and eigensolves may change; its report bytes may not.
+Two campaign reports are pinned by SHA-256 at jobs 1 and 2 and with a
+window of 2 instances:
+
+* deep: the LC-QUAD, LC-MAP-V2 (mixed map) and LC-MULTI (family) cells at
+  dims 5 and 8, three instances per cell;
+* wide: eight theorems, three functions and three maps at dims 2 and 4, one
+  instance per cell, with skipped cells between the runnable ones.
+
+How a campaign schedules its sampling, validation, chain builds and
+eigensolves, within a cell or across cells, may change; its report bytes
+may not.
 """
 
 import hashlib
@@ -29,41 +36,66 @@ GOLDEN_CONFIG = {
     "seed": 29,
 }
 GOLDEN_SHA256 = "fa0eb801887407a1feb83d0127c472c4c665a1be192587dec0c573f5df8d5a49"
+WIDE_CONFIG = {
+    "theorem_ids": ["JM-BASE", "LC-QUAD", "LC-MAP", "SQ-MAP", "LC-MULTI", "SQ-MERCER", "LC-MID",
+                    "SQ-QUAD"],
+    "function_specs": ["exp", "pow:p=-1", "pow:p=2"],
+    "map_specs": ["identity", "mixed", "family:n=3"],
+    "dims": [2, 4],
+    "mm_ranges": [[-1.0, 1.0], [0.5, 2.5]],
+    "instances_per_cell": 1,
+    "tol": 1e-9,
+    "seed": 11,
+}
+WIDE_SHA256 = "e3a625ac6e4c88e1202c580ece7d437429edb8f6ab5d7083ab289b93544c3bac"
+PINNED = {"deep": (GOLDEN_CONFIG, GOLDEN_SHA256), "wide": (WIDE_CONFIG, WIDE_SHA256)}
 
 
-def _report_sha(jobs: int) -> str:
-    report = run_campaign(CampaignConfig.from_dict(GOLDEN_CONFIG), jobs=jobs)
+def _report_sha(config: dict, jobs: int) -> str:
+    report = run_campaign(CampaignConfig.from_dict(config), jobs=jobs)
     return hashlib.sha256(dumps_canonical(report.to_dict()).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_campaign_report_is_byte_identical(jobs):
-    assert _report_sha(jobs) == GOLDEN_SHA256
+@pytest.mark.parametrize("name, jobs", [("deep", 1), ("deep", 2), ("wide", 1), ("wide", 2)],
+                         ids=["1", "2", "wide-1", "wide-2"])
+def test_campaign_report_is_byte_identical(name, jobs):
+    config, sha = PINNED[name]
+    assert _report_sha(config, jobs) == sha
 
 
-def test_campaign_report_does_not_depend_on_the_cell_window(monkeypatch):
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_campaign_report_does_not_depend_on_the_cell_window(name, monkeypatch):
     monkeypatch.setattr(chains, "WINDOW", 2)
-    assert _report_sha(1) == GOLDEN_SHA256
+    config, sha = PINNED[name]
+    assert _report_sha(config, 1) == sha
 
 
 def _digest_of(cfg: CampaignConfig, cell_index: int, instance_index: int) -> str:
-    """The instance digest, drawn again on the campaign's own stream."""
+    """The instance digest, drawn again on the campaign's own stream; the
+    config has one theorem without a map and one function, so cell i runs
+    at the i-th dim."""
     spec = resolve_theorem(cfg.theorem_ids[0])
     f = parse_function_spec(cfg.function_specs[0])
     rng = spawn_rng(cfg.seed, cell_index, instance_index)
     lo, hi = cfg.mm_ranges[instance_index % len(cfg.mm_ranges)]
     m, big_m = campaign._draw_mm(rng, float(lo), float(hi))
-    return sample_instance_for(spec, f, cfg.dims[0], m, big_m, rng).digest()
+    return sample_instance_for(spec, f, cfg.dims[cell_index], m, big_m, rng).digest()
 
 
-@pytest.mark.parametrize("module, target", [(campaign, "sample_instance_for"),
-                                            (chains, "build_chain")],
-                         ids=["sample_instance_for", "build_chain"])
-def test_error_in_one_instance_keeps_serial_fold(module, target, monkeypatch):
+# One cell of four instances, and four cells of one instance each.
+ONE_CELL = dict(GOLDEN_CONFIG, theorem_ids=["LC-QUAD"], dims=[5], instances_per_cell=4)
+FOUR_CELLS = dict(GOLDEN_CONFIG, theorem_ids=["LC-QUAD"], dims=[2, 3, 4, 5], instances_per_cell=1)
+
+
+@pytest.mark.parametrize("module, target, config", [
+    (campaign, "sample_instance_for", ONE_CELL), (chains, "build_chain", ONE_CELL),
+    (campaign, "sample_instance_for", FOUR_CELLS), (chains, "build_chain", FOUR_CELLS),
+], ids=["sample_instance_for", "build_chain", "sample_instance_for-cells", "build_chain-cells"])
+def test_error_in_one_instance_keeps_serial_fold(module, target, config, monkeypatch):
     # An absurdly tight tolerance fails every chain, so each instance leaves
-    # a digest in ``failing``; the second instance raises instead.
-    cfg = CampaignConfig.from_dict(dict(
-        GOLDEN_CONFIG, theorem_ids=["LC-QUAD"], dims=[5], instances_per_cell=4, tol=1e-30))
+    # a digest in its cell's ``failing``; the second instance drawn raises
+    # instead.
+    cfg = CampaignConfig.from_dict(dict(config, tol=1e-30))
     original = getattr(module, target)
     calls = []
 
@@ -74,11 +106,9 @@ def test_error_in_one_instance_keeps_serial_fold(module, target, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, target, second_call_raises)
-    cell, = run_campaign(cfg).cells
-    assert (cell.pass_count, cell.fail_count) == (0, 4)
-    assert list(cell.failing) == [
-        _digest_of(cfg, 0, 0),
-        "error:HypothesisViolation:injected: second instance",
-        _digest_of(cfg, 0, 2),
-        _digest_of(cfg, 0, 3),
-    ]
+    cells = run_campaign(cfg).cells
+    per_cell = cfg.instances_per_cell
+    expected = [[_digest_of(cfg, c, i) for i in range(per_cell)] for c in range(len(cfg.dims))]
+    expected[1 // per_cell][1 % per_cell] = "error:HypothesisViolation:injected: second instance"
+    assert [(cell.pass_count, cell.fail_count) for cell in cells] == [(0, per_cell)] * len(cells)
+    assert [list(cell.failing) for cell in cells] == expected
