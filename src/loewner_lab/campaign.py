@@ -2,26 +2,37 @@
 
 A campaign is the product of theorem ids, function specs, map specs, and
 dimensions.  Every cell draws ``instances_per_cell`` fresh instances, builds
-the registered chain, and aggregates link verdicts.  Instance streams are
-keyed by ``(seed, cell_index, instance_index)``, and reports are serialized
+the registered chain, and aggregates link verdicts.
+
+Every cell is planned up front: a skip reason, or a draw of its instances.
+Runnable cells are grouped into windows (``plan_windows``) so that one-instance
+cells share eigensolver stacks, each window runs through
+``chains.window_outcomes``, and each cell's result is folded from the ordered
+stream of outcomes.  Instance streams are keyed by
+``(seed, cell_index, instance_index)``, and reports are serialized
 canonically (sorted keys, 17-significant-digit floats), so identical
-configurations produce byte-identical reports at any parallelism degree.
+configurations produce byte-identical reports at any window size and any
+parallelism degree.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import islice
 
-from . import __version__
+from . import __version__, chains
 from .errors import ConfigError, IoError, LoewnerLabError, SpecParseError, UnknownKind
 from .chains import (
     THEOREMS,
-    instance_outcomes,
+    Drawn,
     needs_nonneg_instances,
     resolve_theorem,
     sample_instance_for,
+    window_outcomes,
 )
 from .functions import parse_function_spec
 from .hermitian import check_dims
@@ -225,27 +236,32 @@ def _draw_mm(rng, lo: float, hi: float) -> tuple[float, float]:
     return m, big_m
 
 
-def _run_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
-              f_spec: str, map_spec: str, dim: int) -> CellResult:
+def _plan_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
+               f_spec: str, map_spec: str, dim: int):
+    """The cell's result header and ``draw(i)``; a cell that cannot run has
+    its whole (skipped) result and no draw."""
     spec = resolve_theorem(theorem_id)
     f = parse_function_spec(f_spec)
-    reason = _cell_skip_reason(spec, f, map_spec, dim, config.mm_ranges)
     label = _NO_MAP_LABEL if spec.map_mode == "none" else map_spec
+    header = CellResult(theorem=spec.id, function=f_spec, map_spec=label, dim=dim)
+    reason = _cell_skip_reason(spec, f, map_spec, dim, config.mm_ranges)
     if reason is not None:
-        return CellResult(theorem=spec.id, function=f_spec, map_spec=label, dim=dim,
-                          skipped=True, skip_reason=reason)
+        return replace(header, skipped=True, skip_reason=reason), None
     ranges = _compatible_ranges(spec, f, config.mm_ranges)
     family_size = parse_family_spec(map_spec) if spec.map_mode == "family" else 3
 
-    def draw(i: int):
+    def draw(i: int) -> Drawn:
         rng = spawn_rng(config.seed, cell_index, i)
         lo, hi = ranges[i % len(ranges)]
         m, big_m = _draw_mm(rng, float(lo), float(hi))
         inst = sample_instance_for(spec, f, dim, m, big_m, rng, family_size=family_size)
-        return inst, sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
+        return Drawn(spec, f, inst,
+                     sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None)
 
-    outcomes = instance_outcomes(config.instances_per_cell, draw, spec, f, config.tol,
-                                 seed=config.seed)
+    return header, draw
+
+
+def _fold(header: CellResult, outcomes) -> CellResult:
     passes = fails = equalities = 0
     min_eig: float | None = None
     failing: list[str] = []
@@ -264,12 +280,8 @@ def _run_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
             fails += 1
             if len(failing) < 5:
                 failing.append(outcome.instance_digest)
-    return CellResult(
-        theorem=spec.id, function=f_spec, map_spec=label, dim=dim,
-        pass_count=passes, fail_count=fails,
-        min_link_eigenvalue=min_eig, equality_links=equalities,
-        failing=tuple(failing),
-    )
+    return replace(header, pass_count=passes, fail_count=fails, min_link_eigenvalue=min_eig,
+                   equality_links=equalities, failing=tuple(failing))
 
 
 def plan_cells(config: CampaignConfig):
@@ -286,25 +298,72 @@ def plan_cells(config: CampaignConfig):
     return cells
 
 
+# A window that spans cells also holds at most this many matrix entries,
+# the sum of dim^2 over its instances, which bounds the memory it holds.
+WINDOW_ENTRIES = 512
+
+
+def plan_windows(per_cell: int, dims) -> list:
+    """Group the runnable cells, of ``per_cell`` instances each at the given
+    dims in order, into windows of (cell, start, stop) instance ranges.
+
+    A window takes whole consecutive cells while it holds at most
+    ``chains.WINDOW`` instances and ``WINDOW_ENTRIES`` entries.  A cell over
+    either bound runs alone, ``chains.WINDOW`` instances at a time.
+    """
+    windows, current, held, entries = [], [], 0, 0
+    for cell, dim in enumerate(dims):
+        cost = per_cell * dim * dim
+        if held + per_cell > chains.WINDOW or entries + cost > WINDOW_ENTRIES:
+            if current:
+                windows.append(current)
+            current, held, entries = [], 0, 0
+        if per_cell > chains.WINDOW or cost > WINDOW_ENTRIES:
+            windows.extend([(cell, start, min(start + chains.WINDOW, per_cell))]
+                           for start in range(0, per_cell, chains.WINDOW))
+            continue
+        current.append((cell, 0, per_cell))
+        held, entries = held + per_cell, entries + cost
+    if current:
+        windows.append(current)
+    return windows
+
+
+def _outcomes(windows, draws, config: CampaignConfig, jobs: int):
+    """Every window's outcomes in order.  With ``jobs`` > 1, windows run on
+    a thread pool, at most ``jobs`` of them ahead of the one being read."""
+    def run(window):
+        return window_outcomes([partial(draws[cell], i) for cell, start, stop in window
+                                for i in range(start, stop)], config.tol, seed=config.seed)
+
+    if jobs == 1:
+        for window in windows:
+            yield from run(window)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        pending = deque()
+        for window in windows:
+            pending.append(pool.submit(run, window))
+            if len(pending) > jobs:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+
+
 def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
     """Execute every cell; deterministic in (config, seed) regardless of
-    ``jobs`` because each instance owns a counter-keyed stream and results
-    are merged in cell order."""
+    ``jobs`` because each instance owns a counter-keyed stream and outcomes
+    are folded in cell order."""
     config.validate()
     if not _is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs: must be an integer >= 1, got {jobs!r}")
-    cells = plan_cells(config)
-    if jobs == 1:
-        results = [
-            _run_cell(config, idx, *cell) for idx, cell in enumerate(cells)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, config, idx, *cell)
-                for idx, cell in enumerate(cells)
-            ]
-            results = [fut.result() for fut in futures]
+    planned = [_plan_cell(config, idx, *cell) for idx, cell in enumerate(plan_cells(config))]
+    per_cell = config.instances_per_cell
+    draws = [draw for _, draw in planned if draw is not None]
+    windows = plan_windows(per_cell, [header.dim for header, draw in planned if draw is not None])
+    stream = _outcomes(windows, draws, config, jobs)
+    results = [header if draw is None else _fold(header, islice(stream, per_cell))
+               for header, draw in planned]
     any_fail = any(c.fail_count > 0 for c in results)
     return CampaignReport(
         config=config,

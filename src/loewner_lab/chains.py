@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, LoewnerLabError,
@@ -796,44 +796,65 @@ def sample_instance_for(spec: TheoremSpec, f: FunctionDescriptor, dim: int,
     return sample_midpoint(dim, m, M, nonneg_A=nonneg, seed=rng)
 
 
-# The instance pipeline runs this many instances at a time: enough for its
+class Drawn(NamedTuple):
+    """A drawn instance with the theorem, function and map its chain is
+    built from."""
+
+    spec: TheoremSpec
+    f: FunctionDescriptor
+    instance: object
+    maps: object
+
+
+# A window runs at most this many instances together: enough for its
 # same-dimension stacks to reach BATCH_MIN, few enough to bound what it holds.
 WINDOW = 16
 
 
-def instance_outcomes(count: int, draw, spec: TheoremSpec, f: FunctionDescriptor, tol: float,
-                      *, seed: int | None, relaxed: str | None = None):
-    """Yield the ChainReport, or the LoewnerLabError that stopped it, of
-    instances 0..count-1 in order; ``draw(i)`` returns instance i and its map.
+def window_outcomes(draws, tol: float, *, seed: int | None, relaxed: str | None = None) -> list:
+    """The ChainReport, or the LoewnerLabError that stopped it, of the
+    instance each ``draw()`` returns as a ``Drawn``, in order.
 
-    Each window draws every instance, decomposes the spectra validation reads
+    The window draws every instance, decomposes the spectra validation reads
     as same-dimension stacks, builds every chain, decomposes the link
-    differences as stacks, then evaluates.  Values do not depend on that
-    order, and ``eigendecompose_many`` leaves what it cannot finish to the
-    serial path, so outcomes and errors are those of one instance at a time.
+    differences as stacks, then evaluates.  Values depend neither on that
+    order nor on which instances share a stack, and ``eigendecompose_many``
+    leaves what it cannot finish to the serial path, so outcomes and errors
+    are those of one instance at a time.
     """
-    for start in range(0, count, WINDOW):
-        indices = range(start, min(start + WINDOW, count))
-        outcomes, drawn, built = {}, {}, {}
-        for i in indices:
-            try:
-                drawn[i] = draw(i)
-            except LoewnerLabError as exc:
-                outcomes[i] = exc
-        eigendecompose_many(mat for inst, _ in drawn.values()
-                            for mat in inst.validation_operands())
-        for i, (inst, maps) in drawn.items():
-            try:
-                built[i] = build_chain(spec.id, inst, f, maps, relaxed=relaxed, tol=tol)
-            except LoewnerLabError as exc:
-                outcomes[i] = exc
-        eigendecompose_many(diff for chain in built.values() for diff in chain.differences)
-        for i, chain in built.items():
-            try:
-                outcomes[i] = evaluate_chain(chain, tol, seed=seed)
-            except LoewnerLabError as exc:
-                outcomes[i] = exc
-        yield from (outcomes[i] for i in indices)
+    outcomes, drawn, built = [None] * len(draws), {}, {}
+    for i, draw in enumerate(draws):
+        try:
+            drawn[i] = draw()
+        except LoewnerLabError as exc:
+            outcomes[i] = exc
+    eigendecompose_many(mat for d in drawn.values() for mat in d.instance.validation_operands())
+    for i, d in drawn.items():
+        try:
+            built[i] = build_chain(d.spec, d.instance, d.f, d.maps, relaxed=relaxed, tol=tol)
+        except LoewnerLabError as exc:
+            outcomes[i] = exc
+    eigendecompose_many(diff for chain in built.values() for diff in chain.differences)
+    for i, chain in built.items():
+        try:
+            outcomes[i] = evaluate_chain(chain, tol, seed=seed)
+        except LoewnerLabError as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
+def instance_outcomes(count: int, draw, tol: float, *, seed: int | None,
+                      relaxed: str | None = None):
+    """Yield the outcomes of instances 0..count-1 in order; ``draw(i)``
+    returns instance i as a ``Drawn``.  Windows hold 1, 2, 4, ... instances
+    up to ``WINDOW``, so a reader that stops early has run little past the
+    instance it stopped at, and a long run still gets full stacks."""
+    start, size = 0, 1
+    while start < count:
+        stop = min(start + size, count)
+        yield from window_outcomes([partial(draw, i) for i in range(start, stop)], tol,
+                                   seed=seed, relaxed=relaxed)
+        start, size = stop, min(2 * size, WINDOW)
 
 
 _RELAX_RELATIONS = {  # relations sampled in turn, so that only the named clause breaks
@@ -868,6 +889,8 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
         raise ConfigError(f"budget: must be an integer >= 0, got {budget!r}")
     check_tolerance(tol)
+    if not (math.isfinite(m) and math.isfinite(M)):
+        raise ConfigError(f"m, M: must be finite numbers, got m={m!r}, M={M!r}")
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
     if relaxation in RELAXATIONS[:4]:  # its f clause must fail if dropped, hold if kept
@@ -892,9 +915,10 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
         dim = dims[attempt % len(dims)]
         inst = sample_instance_for(spec, f, dim, m, M, rng,
                                    relation=relations[attempt % len(relations)])
-        return inst, sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None
+        return Drawn(spec, f, inst,
+                     sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None)
 
-    outcomes = instance_outcomes(budget, draw, spec, f, tol, seed=seed, relaxed=relaxation)
+    outcomes = instance_outcomes(budget, draw, tol, seed=seed, relaxed=relaxation)
     for attempt, outcome in enumerate(outcomes):
         if isinstance(outcome, LoewnerLabError):
             raise outcome

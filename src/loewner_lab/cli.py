@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--config", required=True, help="path to the campaign config JSON")
     p_campaign.add_argument("--out", required=True, help="path for the report JSON")
     p_campaign.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_campaign.add_argument("--jobs", type=int, default=1, help="parallel cells (same output)")
+    p_campaign.add_argument("--jobs", type=int, default=1,
+                            help="windows of cells run in parallel (same output)")
 
     p_hunt = sub.add_parser("hunt", help="search for counterexamples under a relaxed hypothesis")
     p_hunt.add_argument("--theorem", required=True)

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from loewner_lab import chains
 from loewner_lab.campaign import (
+    WINDOW_ENTRIES,
     CampaignConfig,
     emit_report,
     plan_cells,
+    plan_windows,
     run_campaign,
 )
 from loewner_lab.errors import ConfigError, IoError
@@ -208,3 +211,43 @@ def test_overtight_tolerance_fails_cells_with_digests():
     cell = report.cells[0]
     assert cell.fail_count > 0
     assert cell.failing
+
+
+# -- windows across cells ---------------------------------------------------------
+
+
+def _entries(window, dims):
+    return sum((stop - start) * dims[cell] ** 2 for cell, start, stop in window)
+
+
+@pytest.mark.parametrize("per_cell", [1, 2, 3, 5, 17])
+def test_multi_cell_windows_stay_within_both_bounds(per_cell):
+    dims = [2, 4, 12, 2, 4, 8, 8, 8, 3, 16, 2, 1, 1, 5]
+    windows = plan_windows(per_cell, dims)
+    # Every instance once, in cell order.
+    assert [(cell, i) for window in windows for cell, start, stop in window
+            for i in range(start, stop)] == [(c, i) for c in range(len(dims))
+                                             for i in range(per_cell)]
+    for window, following in zip(windows, windows[1:] + [None]):
+        if len(window) > 1:
+            assert all((start, stop) == (0, per_cell) for _, start, stop in window)
+            assert len(window) * per_cell <= chains.WINDOW
+            assert _entries(window, dims) <= WINDOW_ENTRIES
+        # Greedy: the next whole cell would break a bound.
+        if following is not None and following[0][1:] == (0, per_cell):
+            grown = window + following[:1]
+            assert (len(grown) * per_cell > chains.WINDOW
+                    or _entries(grown, dims) > WINDOW_ENTRIES)
+
+
+def test_a_cell_over_either_bound_runs_alone(monkeypatch):
+    # Four instances at dim 16 hold 1024 entries: one window, as within a cell.
+    assert plan_windows(4, [16]) == [[(0, 0, 4)]]
+    assert plan_windows(4, [8, 16, 8, 16]) == [[(0, 0, 4)], [(1, 0, 4)], [(2, 0, 4)], [(3, 0, 4)]]
+    assert plan_windows(40, [2, 1]) == [[(0, 0, 16)], [(0, 16, 32)], [(0, 32, 40)],
+                                        [(1, 0, 16)], [(1, 16, 32)], [(1, 32, 40)]]
+    assert plan_windows(1, [12] * 4) == [[(0, 0, 1), (1, 0, 1), (2, 0, 1)], [(3, 0, 1)]]
+    monkeypatch.setattr(chains, "WINDOW", 2)
+    assert plan_windows(3, [2, 2]) == [[(0, 0, 2)], [(0, 2, 3)], [(1, 0, 2)], [(1, 2, 3)]]
+    assert plan_windows(1, [2] * 5) == [[(0, 0, 1), (1, 0, 1)], [(2, 0, 1), (3, 0, 1)],
+                                        [(4, 0, 1)]]

@@ -14,6 +14,8 @@ may not.
 """
 
 import hashlib
+import sys
+import threading
 
 import pytest
 
@@ -68,6 +70,27 @@ def test_campaign_report_does_not_depend_on_the_cell_window(name, monkeypatch):
     monkeypatch.setattr(chains, "WINDOW", 2)
     config, sha = PINNED[name]
     assert _report_sha(config, 1) == sha
+
+
+def test_window_pool_with_more_workers_than_cores_matches_serial(monkeypatch):
+    # Windows of two instances give the pool many windows in flight, and a
+    # tiny switch interval makes its threads interleave as often as possible.
+    monkeypatch.setattr(chains, "WINDOW", 2)
+    config = CampaignConfig.from_dict(WIDE_CONFIG)
+    serial = dumps_canonical(run_campaign(config, jobs=1).to_dict())
+    pooled = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: pooled.append(dumps_canonical(run_campaign(config, jobs=4).to_dict())),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert pooled == [serial]
 
 
 def _digest_of(cfg: CampaignConfig, cell_index: int, instance_index: int) -> str:

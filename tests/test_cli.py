@@ -183,6 +183,8 @@ def no_sampling(monkeypatch):
     (["--relax", "cond-ii-sum"], "cond-ii-sum cannot break its clause alone: its f clause fails"),
     (["--relax", "cond-ii-f", "--function", "pow:p=-1"], "cond-ii-f cannot break"),
     (["--relax", "cond-i-sum", "--function", "pow:p=-1"], "cond-i-sum cannot break"),
+    (["--M", "inf"], "m, M: must be finite numbers"),
+    (["--m=-inf"], "m, M: must be finite numbers"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])

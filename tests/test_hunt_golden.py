@@ -16,7 +16,7 @@ import loewner_lab.chains as chains
 from loewner_lab.chains import hunt_counterexample
 from loewner_lab.cli import main
 from loewner_lab.errors import HypothesisViolation
-from loewner_lab.functions import exp_function
+from loewner_lab.functions import exp_function, parse_function_spec
 
 FOUND_HUNTS = [
     (["--theorem", "lc-quad", "--relax", "cond-i-f", "--function", "pow:p=-1", "--seed", "7"],
@@ -94,3 +94,19 @@ def test_budget_cuts_the_last_attempts(monkeypatch):
     monkeypatch.setattr(chains, "sample_instance_for", counting)
     assert hunt_counterexample("lc-quad", None, 37, 8, exp_function()) is None
     assert len(drawn) == 37
+
+
+def test_a_hunt_that_fails_at_once_builds_one_chain(monkeypatch):
+    # Windows grow from one attempt, so a first attempt that fails is the
+    # only one drawn, built and evaluated.
+    original = chains.build_chain
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "build_chain", counting)
+    result = hunt_counterexample("lc-quad", "cond-i-f", 2000, 7, parse_function_spec("pow:p=-1"))
+    assert result.attempt_index == 0
+    assert len(built) == 1
