@@ -37,6 +37,13 @@ So are the hypotheses beyond the function class: a row names its instance
 kind, function class, terms and optional power restriction, and the map
 mode, the sum hypothesis and A >= 0 follow from those (``TheoremSpec``).
 
+Instances are checked in windows by one staged function,
+``window_outcomes``: draw, decompose validation spectra as same-dimension
+stacks, build, decompose link differences as stacks, evaluate.  Each drawn
+instance carries its own theorem and function, so a campaign window spans
+cells; a hunt reads ``instance_outcomes``, whose windows grow 1, 2, 4, 8
+instances, then ``WINDOW``.
+
 Registry ids (case-insensitive):
 
     JM-BASE    MOS-BASE
