@@ -11,15 +11,13 @@ cells share eigensolver stacks, each window runs through
 stream of outcomes.  Instance streams are keyed by
 ``(seed, cell_index, instance_index)``, and reports are serialized
 canonically (sorted keys, 17-significant-digit floats), so identical
-configurations produce byte-identical reports at any window size and any
-parallelism degree.
+configurations produce byte-identical reports at any window size.  Windows
+run in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
@@ -35,7 +33,7 @@ from .chains import (
     window_outcomes,
 )
 from .functions import parse_function_spec
-from .hermitian import check_dims
+from .hermitian import check_dims, check_int
 from .maps import check_map_spec, map_misfit, parse_family_spec, sample_map
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
@@ -72,7 +70,8 @@ class CampaignConfig:
             function_specs=tuple(str(s) for s in _require_list(obj, "function_specs")),
             map_specs=tuple(str(s) for s in _require_list(obj, "map_specs")),
             dims=tuple(_require_list(obj, "dims")),
-            mm_ranges=tuple(tuple(r) for r in _require_list(obj, "mm_ranges")),
+            mm_ranges=tuple(tuple(r) if isinstance(r, list) else r
+                            for r in _require_list(obj, "mm_ranges")),
             instances_per_cell=obj["instances_per_cell"],
             tol=obj["tol"],
             seed=obj.get("seed", 0),
@@ -104,16 +103,13 @@ class CampaignConfig:
         if not self.mm_ranges:
             raise ConfigError("mm_ranges: must be non-empty")
         for r in self.mm_ranges:
-            if len(r) != 2 or not all(_is_real(x) for x in r) or r[0] >= r[1]:
+            if (not isinstance(r, (list, tuple)) or len(r) != 2
+                    or not all(_is_real(x) for x in r) or r[0] >= r[1]):
                 raise ConfigError(f"mm_ranges: each range must be [lo, hi] with lo < hi, got {r!r}")
-        if not _is_int(self.instances_per_cell) or self.instances_per_cell < 1:
-            raise ConfigError(
-                f"instances_per_cell: must be an integer >= 1, got {self.instances_per_cell!r}"
-            )
+        check_int(self.instances_per_cell, "instances_per_cell", 1)
         if not _is_real(self.tol) or self.tol <= 0:
             raise ConfigError(f"tol: must be a finite number > 0, got {self.tol!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
+        check_int(self.seed, "seed")
 
     def to_dict(self) -> dict:
         return {
@@ -126,10 +122,6 @@ class CampaignConfig:
             "tol": float(self.tol),
             "seed": int(self.seed),
         }
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_real(x) -> bool:
@@ -329,39 +321,20 @@ def plan_windows(per_cell: int, dims) -> list:
     return windows
 
 
-def _outcomes(windows, draws, config: CampaignConfig, jobs: int):
-    """Every window's outcomes in order.  With ``jobs`` > 1, windows run on
-    a thread pool, at most ``jobs`` of them ahead of the one being read."""
-    def run(window):
-        return window_outcomes([partial(draws[cell], i) for cell, start, stop in window
-                                for i in range(start, stop)], config.tol, seed=config.seed)
-
-    if jobs == 1:
-        for window in windows:
-            yield from run(window)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = deque()
-        for window in windows:
-            pending.append(pool.submit(run, window))
-            if len(pending) > jobs:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
-
-
 def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
-    """Execute every cell; deterministic in (config, seed) regardless of
-    ``jobs`` because each instance owns a counter-keyed stream and outcomes
-    are folded in cell order."""
+    """Execute every cell, window by window in order on the calling thread.
+    ``jobs`` must be an integer >= 1 and does not change the run: the report
+    is deterministic in (config, seed) because each instance owns a
+    counter-keyed stream and outcomes are folded in cell order."""
     config.validate()
-    if not _is_int(jobs) or jobs < 1:
-        raise ConfigError(f"jobs: must be an integer >= 1, got {jobs!r}")
+    check_int(jobs, "jobs", 1)
     planned = [_plan_cell(config, idx, *cell) for idx, cell in enumerate(plan_cells(config))]
     per_cell = config.instances_per_cell
     draws = [draw for _, draw in planned if draw is not None]
     windows = plan_windows(per_cell, [header.dim for header, draw in planned if draw is not None])
-    stream = _outcomes(windows, draws, config, jobs)
+    stream = (outcome for window in windows for outcome in window_outcomes(
+        [partial(draws[cell], i) for cell, start, stop in window for i in range(start, stop)],
+        config.tol, seed=config.seed))
     results = [header if draw is None else _fold(header, islice(stream, per_cell))
                for header, draw in planned]
     any_fail = any(c.fail_count > 0 for c in results)

@@ -71,7 +71,7 @@ from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, Loewn
 from .functions import (CONVEX, LOG_CONVEX, SUPERQUADRATIC, FunctionDescriptor, Interval,
                         interpolation_constants, tilde_t)
 from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_scalar_function,
-                        check_dims, check_tolerance, eigendecompose_many, loewner_leq,
+                        check_dims, check_int, check_tolerance, eigendecompose_many, loewner_leq,
                         spectral_bounds)
 from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
                         QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
@@ -893,8 +893,8 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     spec = resolve_theorem(theorem)
     _check_relaxation(spec, relaxation)
     _check_function_class(spec, f)
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise ConfigError(f"budget: must be an integer >= 0, got {budget!r}")
+    check_int(budget, "budget")
+    check_int(seed, "seed")
     check_tolerance(tol)
     if not (math.isfinite(m) and math.isfinite(M)):
         raise ConfigError(f"m, M: must be finite numbers, got m={m!r}, M={M!r}")

@@ -17,9 +17,9 @@ from .campaign import CampaignConfig, emit_report, run_campaign
 from .chains import build_chain, evaluate_chain, hunt_counterexample, resolve_theorem
 from .errors import ConfigError, IoError, LoewnerLabError
 from .functions import parse_function_spec
-from .hermitian import DEFAULT_PSD_TOL, check_dims, check_tolerance
+from .hermitian import DEFAULT_PSD_TOL, check_dims, check_int, check_tolerance
 from .instances import instance_from_dict
-from .maps import sample_map
+from .maps import check_map_spec, sample_map
 from .serialize import dumps_canonical
 
 
@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--out", required=True, help="path for the report JSON")
     p_campaign.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_campaign.add_argument("--jobs", type=int, default=1,
-                            help="windows of cells run in parallel (same output)")
+                            help="an integer >= 1, accepted; windows run in order on one "
+                                 "thread (same output at any value)")
 
     p_hunt = sub.add_parser("hunt", help="search for counterexamples under a relaxed hypothesis")
     p_hunt.add_argument("--theorem", required=True)
@@ -79,6 +80,8 @@ def _read_json(path, what: str):
 
 def _cmd_verify(args) -> int:
     check_tolerance(args.tol)
+    check_int(args.seed, "seed")
+    check_map_spec(args.map)
     spec = resolve_theorem(args.theorem)
     f = parse_function_spec(args.function)
     inst = instance_from_dict(_read_json(args.instance, "instance"))
@@ -93,7 +96,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_campaign(args) -> int:
     payload = _read_json(args.config, "config")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(payload, dict):
         payload["seed"] = args.seed
     config = CampaignConfig.from_dict(payload)
     report = run_campaign(config, jobs=args.jobs)

@@ -157,19 +157,22 @@ class HermitianMatrix:
     def from_dict(cls, obj: dict) -> "HermitianMatrix":
         if not isinstance(obj, dict) or "dim" not in obj or "re" not in obj:
             raise NotHermitian('matrix object must carry "dim" and "re" keys')
-        dim = int(obj["dim"])
-        if not 1 <= dim <= MAX_DIM:
-            raise DimensionMismatch(f"dim must be in 1..{MAX_DIM}, got {dim}")
-        re = np.asarray(obj["re"], dtype=float)
-        if re.shape != (dim, dim):
-            raise DimensionMismatch(f'"re" must be {dim}x{dim}, got {re.shape}')
-        if "im" in obj and obj["im"] is not None:
-            im = np.asarray(obj["im"], dtype=float)
-            if im.shape != (dim, dim):
-                raise DimensionMismatch(f'"im" must be {dim}x{dim}, got {im.shape}')
-            arr = re + 1j * im
-        else:
-            arr = re.astype(np.complex128)
+        dim = obj["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
+            raise DimensionMismatch(f"dim must be in 1..{MAX_DIM} and an integer, got {dim!r}")
+
+        def entries(key: str) -> np.ndarray:
+            try:
+                arr = np.asarray(obj[key], dtype=float)
+            except (TypeError, ValueError):
+                raise DimensionMismatch(f'"{key}" must be {dim}x{dim} numbers') from None
+            if arr.shape != (dim, dim):
+                raise DimensionMismatch(f'"{key}" must be {dim}x{dim}, got {arr.shape}')
+            return arr
+
+        arr = entries("re").astype(np.complex128)
+        if obj.get("im") is not None:
+            arr += 1j * entries("im")
         return cls(arr, strict=True)
 
 
@@ -510,6 +513,12 @@ def check_tolerance(tol: float) -> None:
     """A PSD tolerance must be a finite number >= 0."""
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"tol: must be a finite number >= 0, got {tol!r}")
+
+
+def check_int(value, name: str, least: int = 0) -> None:
+    """A count or seed must be an integer (not a bool) >= ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{name}: must be an integer >= {least}, got {value!r}")
 
 
 def check_dims(dims, name: str = "dims") -> tuple:

@@ -10,12 +10,13 @@ so each sampler builds the constraints in by construction:
   on one endpoint, then add a small strict PSD margin.
 
 All sampling is deterministic in ``(parameters, seed)`` through splittable
-counter-based streams; parallel campaigns reproduce serial output.
+counter-based streams, whatever order instances are drawn in.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -153,16 +154,9 @@ class QuadrupleInstance(_Instance):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "QuadrupleInstance":
-        return cls(
-            A=HermitianMatrix.from_dict(obj["A"]),
-            B=HermitianMatrix.from_dict(obj["B"]),
-            C=HermitianMatrix.from_dict(obj["C"]),
-            D=HermitianMatrix.from_dict(obj["D"]),
-            m=float(obj["m"]),
-            M=float(obj["M"]),
-            relation=SumRelation.from_string(obj.get("relation", "equal-sum")),
-            nonneg_A=bool(obj.get("nonneg_A", False)),
-        )
+        return cls(**_fields(obj, "A", "B", "C", "D"),
+                   relation=SumRelation.from_string(obj.get("relation", "equal-sum")),
+                   nonneg_A=bool(obj.get("nonneg_A", False)))
 
     @cached_property
     def _sum_sides(self) -> tuple:
@@ -232,8 +226,8 @@ class MercerInstance(_FamilyInstance):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MercerInstance":
-        b_list = tuple(HermitianMatrix.from_dict(it) for it in obj["B_list"])
-        return cls(B_list=b_list, m=float(obj["m"]), M=float(obj["M"]),
+        b_list = tuple(HermitianMatrix.from_dict(it) for it in _objects(obj, "B_list"))
+        return cls(B_list=b_list, **_fields(obj),
                    **cls._family_from_dict(obj, b_list, "operators"))
 
     def validation_operands(self) -> tuple:
@@ -281,13 +275,8 @@ class MidpointInstance(_Instance):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MidpointInstance":
-        return cls(
-            A=HermitianMatrix.from_dict(obj["A"]),
-            D=HermitianMatrix.from_dict(obj["D"]),
-            m=float(obj["m"]),
-            M=float(obj["M"]),
-            nonneg_A=bool(obj.get("nonneg_A", False)),
-        )
+        return cls(**_fields(obj, "A", "D"),
+                   nonneg_A=bool(obj.get("nonneg_A", False)))
 
     def _violations(self, tol: float) -> list[str]:
         return (self._bound_violations("A", self.A, tol, upper="m", nonneg=self.nonneg_A)
@@ -321,8 +310,8 @@ class MultiQuadrupleInstance(_FamilyInstance):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MultiQuadrupleInstance":
-        quads = tuple(QuadrupleInstance.from_dict(it) for it in obj["quadruples"])
-        return cls(quadruples=quads, m=float(obj["m"]), M=float(obj["M"]),
+        quads = tuple(QuadrupleInstance.from_dict(it) for it in _objects(obj, "quadruples"))
+        return cls(quadruples=quads, **_fields(obj),
                    **cls._family_from_dict(obj, quads, "quadruples"))
 
     def validation_operands(self) -> tuple:
@@ -352,8 +341,31 @@ def validate_instance(inst, tol: float = 1e-10) -> list[str]:
     return inst._violations(tol)
 
 
+def _fields(obj, *keys: str) -> dict:
+    """The bounds m and M of an instance file object, each a finite number,
+    and its matrices named by ``keys``."""
+    for key in ("m", "M"):
+        v = obj.get(key)
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            raise ShapeMismatch(f'"{key}": must be a finite number, got {v!r}')
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ShapeMismatch(f"instance lacks matrix field(s): {', '.join(missing)}")
+    return {"m": float(obj["m"]), "M": float(obj["M"]),
+            **{key: HermitianMatrix.from_dict(obj[key]) for key in keys}}
+
+
+def _objects(obj: dict, key: str) -> list:
+    items = obj[key]
+    if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
+        raise ShapeMismatch(f'"{key}": must be a list of JSON objects, got {items!r}')
+    return items
+
+
 def instance_from_dict(obj: dict):
     """Dispatch on the keys of an instance file object."""
+    if not isinstance(obj, dict):
+        raise ShapeMismatch(f"instance must be a JSON object, got {type(obj).__name__}")
     if "quadruples" in obj:
         return MultiQuadrupleInstance.from_dict(obj)
     if "B_list" in obj:

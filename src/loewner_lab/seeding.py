@@ -3,8 +3,8 @@
 All randomness in the package flows through counter-based Philox generators
 keyed by an integer seed plus an explicit spawn path.  A stream derived from
 ``(seed, *path)`` is independent of every other path and of the order in
-which streams are created, so parallel campaigns reproduce serial output
-bit for bit.
+which streams are created, so a campaign's report does not depend on how
+its instances are grouped into windows.
 """
 
 from __future__ import annotations

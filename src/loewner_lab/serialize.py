@@ -1,7 +1,7 @@
 """Canonical JSON with stable key order and fixed float formatting.
 
-Reports and digests must be byte-identical across runs and parallelism
-degrees, so floats are rendered with 17 significant digits (enough for an
+Reports and digests must be byte-identical across runs and window sizes,
+so floats are rendered with 17 significant digits (enough for an
 exact float64 round-trip) and keys are always sorted.
 """
 

@@ -60,6 +60,7 @@ def test_config_roundtrip_and_validation():
         ({"seed": 5.7}, "seed"),
         ({"seed": "x"}, "seed"),
         ({"dims": [2, 17]}, "dims"),
+        ({"mm_ranges": [5]}, "mm_ranges"),
     ],
 )
 def test_config_rejects_bad_values(patch, fragment):

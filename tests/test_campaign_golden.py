@@ -21,7 +21,7 @@ import pytest
 
 from loewner_lab import campaign, chains
 from loewner_lab.campaign import CampaignConfig, run_campaign
-from loewner_lab.chains import resolve_theorem, sample_instance_for
+from loewner_lab.chains import resolve_theorem, sample_instance_for, window_outcomes
 from loewner_lab.errors import HypothesisViolation
 from loewner_lab.functions import parse_function_spec
 from loewner_lab.seeding import spawn_rng
@@ -91,6 +91,25 @@ def test_window_pool_with_more_workers_than_cores_matches_serial(monkeypatch):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert pooled == [serial]
+
+
+def test_windows_run_in_order_on_the_calling_thread(monkeypatch):
+    # At jobs 2 every window runs on the thread that called
+    # run_campaign, and no thread is started along the way.
+    monkeypatch.setattr(chains, "WINDOW", 2)
+    callers = []
+
+    def recording(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return window_outcomes(*args, **kwargs)
+
+    def refuse(self):
+        raise AssertionError("run_campaign started a thread")
+
+    monkeypatch.setattr(campaign, "window_outcomes", recording)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert _report_sha(WIDE_CONFIG, 2) == WIDE_SHA256
+    assert len(callers) > 1 and set(callers) == {threading.get_ident()}
 
 
 def _digest_of(cfg: CampaignConfig, cell_index: int, instance_index: int) -> str:

@@ -185,9 +185,26 @@ def no_sampling(monkeypatch):
     (["--relax", "cond-i-sum", "--function", "pow:p=-1"], "cond-i-sum cannot break"),
     (["--M", "inf"], "m, M: must be finite numbers"),
     (["--m=-inf"], "m, M: must be finite numbers"),
+    (["--seed", "-1"], "seed: must be an integer >= 0, got -1"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert fragment in captured.err
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--theorem", "lc-quad", "--seed", "-1"], "seed: must be an integer >= 0, got -1"),
+    (["--theorem", "lc-map", "--map", "mixed", "--seed", "-1"], "seed: must be an integer >= 0"),
+    (["--theorem", "lc-quad", "--map", "bogus"], "bogus"),
+    (["--theorem", "lc-map", "--map", "compression:k=two"], "compression:k=two"),
+])
+def test_verify_rejects_bad_arguments_before_sampling(flags, fragment, tmp_path, no_sampling,
+                                                      capsys):
+    path = write_json(tmp_path / "q.json", WORKED_INSTANCE)
+    rc = main(["verify", "--instance", path, "--function", "exp", *flags])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -227,6 +244,51 @@ def test_verify_rejects_bad_matrix_file(matrix_a, fragment, tmp_path, capsys):
     rc = main(["verify", "--theorem", "lc-quad", "--instance", path, "--function", "exp"])
     assert rc == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch, fragment", [
+    ({"A": dict(square(0.0, 2), dim=2.7)}, "dim must be in 1..16 and an integer, got 2.7"),
+    ({"A": dict(square(0.0, 1), dim=True)}, "got True"),
+    ({"A": dict(square(0.0, 1), dim="x")}, "got 'x'"),
+    ({"A": {"dim": 1, "re": [["x"]]}}, '"re" must be 1x1 numbers'),
+    ({"A": {"dim": 1, "re": [[0.0]], "im": [[0.0, 1.0]]}}, '"im" must be 1x1'),
+    ({"m": "x"}, '"m": must be a finite number'),
+    ({"M": None}, '"M": must be a finite number'),
+    ({"m": True}, '"m": must be a finite number'),
+    ({"m": None}, '"m": must be a finite number, got None'),
+    ({"M": float("inf")}, '"M": must be a finite number, got inf'),
+    ({"C": None}, "instance lacks matrix field(s): C"),
+])
+def test_verify_rejects_malformed_instance_fields(patch, fragment, tmp_path, capsys):
+    inst = {key: value for key, value in dict(WORKED_INSTANCE, **patch).items()
+            if value is not None}
+    path = write_json(tmp_path / "bad.json", inst)
+    rc = main(["verify", "--theorem", "lc-quad", "--instance", path, "--function", "exp"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "unexpected" not in err
+
+
+@pytest.mark.parametrize("payload, fragment", [
+    ([WORKED_INSTANCE], "instance must be a JSON object, got list"),
+    ({"B_list": 5, "m": 1.0, "M": 2.0}, '"B_list": must be a list of JSON objects'),
+    ({"quadruples": [5], "m": 1.0, "M": 2.0}, '"quadruples": must be a list of JSON objects'),
+])
+def test_verify_rejects_malformed_instance_layout(payload, fragment, tmp_path, capsys):
+    path = write_json(tmp_path / "bad.json", payload)
+    rc = main(["verify", "--theorem", "lc-multi", "--instance", path, "--function", "exp"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "unexpected" not in err
+
+
+def test_campaign_config_array_with_seed_override_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", [campaign_config()])
+    rc = main(["campaign", "--config", path, "--out", str(tmp_path / "r.json"), "--seed", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config must be a JSON object" in err and "unexpected" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_campaign_unknown_map_spec_exit_2(tmp_path, capsys):

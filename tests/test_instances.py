@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import loewner_lab.instances as forge
-from loewner_lab.errors import DegenerateInterval, ExhaustedRetries
+from loewner_lab.errors import (DegenerateInterval, DimensionMismatch, ExhaustedRetries,
+                                ShapeMismatch)
 from loewner_lab.hermitian import HermitianMatrix, positive_part, spectral_bounds
 from loewner_lab.instances import (
     MidpointInstance,
@@ -171,6 +172,32 @@ def test_instance_file_roundtrips():
 
     multi = sample_quadruple_family(2, 2, 1.0, 2.0, seed=8)
     assert instance_from_dict(multi.to_dict()).to_dict() == multi.to_dict()
+
+
+@pytest.mark.parametrize("patch, error", [
+    ({"A": {"dim": 2.7, "re": [[0.0, 0.0], [0.0, 0.0]]}}, DimensionMismatch),
+    ({"A": {"dim": True, "re": [[0.0]]}}, DimensionMismatch),
+    ({"A": {"dim": "x", "re": [[0.0]]}}, DimensionMismatch),
+    ({"A": {"dim": 1, "re": [["x"]]}}, DimensionMismatch),
+    ({"m": "x"}, ShapeMismatch),
+    ({"m": None}, ShapeMismatch),
+    ({"M": False}, ShapeMismatch),
+    ({"D": None}, ShapeMismatch),
+])
+def test_malformed_instance_file_raises_typed_error(patch, error):
+    obj = {key: value for key, value in
+           dict(sample_quadruple(1, 1.0, 2.0, seed=3).to_dict(), **patch).items()
+           if value is not None}
+    with pytest.raises(error):
+        instance_from_dict(obj)
+
+
+@pytest.mark.parametrize("obj", [[], 5, "B", {"quadruples": 5, "m": 1.0, "M": 2.0},
+                                 {"quadruples": ["x"], "m": 1.0, "M": 2.0},
+                                 {"B_list": {"dim": 1}, "m": 1.0, "M": 2.0}])
+def test_malformed_instance_layout_raises_shape_mismatch(obj):
+    with pytest.raises(ShapeMismatch):
+        instance_from_dict(obj)
 
 
 def test_bulk_sampling_all_validate():
