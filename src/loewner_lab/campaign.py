@@ -7,19 +7,22 @@ the registered chain, and aggregates link verdicts.
 Every cell is planned up front: a skip reason, or a draw of its instances.
 Runnable cells are grouped into windows (``plan_windows``) so that one-instance
 cells share eigensolver stacks, each window runs through
-``chains.window_outcomes``, and each cell's result is folded from the ordered
-stream of outcomes.  Instance streams are keyed by
-``(seed, cell_index, instance_index)``, and reports are serialized
-canonically (sorted keys, 17-significant-digit floats), so identical
-configurations produce byte-identical reports at any window size.  Windows
-run in order on the calling thread.
+``chains.window_outcomes`` (``_run_window``), and each cell's result is
+folded from the ordered stream of its instances' records.  Instance streams
+are keyed by ``(seed, cell_index, instance_index)``, and reports are
+serialized canonically (sorted keys, 17-significant-digit floats), so
+identical configurations produce byte-identical reports at any window size
+and any ``jobs``.  At ``jobs`` 1 windows run in order on the calling thread;
+at ``jobs`` > 1 they run in a pool of forked worker processes, largest
+first, and are folded in window order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import partial
+import os
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from itertools import islice
 
 from . import __version__, chains
@@ -253,25 +256,29 @@ def _plan_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
     return header, draw
 
 
-def _fold(header: CellResult, outcomes) -> CellResult:
+def _record(outcome) -> tuple:
+    """An instance's outcome as the fold reads it: (min_link_eigenvalue,
+    equality_links, passed, failing entry or None)."""
+    if isinstance(outcome, LoewnerLabError):
+        return None, 0, False, f"error:{type(outcome).__name__}:{outcome}"
+    return (outcome.min_link_eigenvalue, outcome.equality_links, outcome.passed,
+            None if outcome.passed else outcome.instance_digest)
+
+
+def _fold(header: CellResult, records) -> CellResult:
     passes = fails = equalities = 0
     min_eig: float | None = None
     failing: list[str] = []
-    for outcome in outcomes:
-        if isinstance(outcome, LoewnerLabError):
-            fails += 1
-            if len(failing) < 5:
-                failing.append(f"error:{type(outcome).__name__}:{outcome}")
-            continue
-        cell_min = outcome.min_link_eigenvalue
-        min_eig = cell_min if min_eig is None else min(min_eig, cell_min)
-        equalities += outcome.equality_links
-        if outcome.passed:
+    for instance_min, instance_equalities, passed, entry in records:
+        if instance_min is not None:
+            min_eig = instance_min if min_eig is None else min(min_eig, instance_min)
+        equalities += instance_equalities
+        if passed:
             passes += 1
         else:
             fails += 1
             if len(failing) < 5:
-                failing.append(outcome.instance_digest)
+                failing.append(entry)
     return replace(header, pass_count=passes, fail_count=fails, min_link_eigenvalue=min_eig,
                    equality_links=equalities, failing=tuple(failing))
 
@@ -321,20 +328,75 @@ def plan_windows(per_cell: int, dims) -> list:
     return windows
 
 
+@lru_cache(maxsize=1)
+def _plan(config: CampaignConfig) -> tuple:
+    """Every cell's (header, draw) in cell order, and the draws of the
+    runnable cells.  The last plan is kept, so pool workers forked after
+    ``run_campaign`` plans inherit it instead of planning again."""
+    planned = [_plan_cell(config, idx, *cell) for idx, cell in enumerate(plan_cells(config))]
+    return planned, [draw for _, draw in planned if draw is not None]
+
+
+def _run_window(config: CampaignConfig, window) -> list:
+    """The records (see ``_record``) of one window's instances, in order."""
+    draws = _plan(config)[1]
+    outcomes = window_outcomes(
+        [partial(draws[cell], i) for cell, start, stop in window for i in range(start, stop)],
+        config.tol, seed=config.seed)
+    return [_record(outcome) for outcome in outcomes]
+
+
+def _pool_map(config: CampaignConfig, windows, costs, workers: int) -> list:
+    """``_run_window`` over ``windows`` in ``workers`` processes, submitted
+    in descending order of cost and returned in window order.  On any error
+    the workers are stopped before it is raised again."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Fork, so that workers inherit the imported library and the plan.
+    # Python 3.14's default, forkserver, would re-import __main__ and numpy
+    # in every worker, and fails outright when __main__ has no main guard.
+    # Fork copies no other thread, so a caller must not hold a lock in one.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {w: pool.submit(_run_window, config, windows[w])
+                   for w in sorted(range(len(windows)), key=costs.__getitem__, reverse=True)}
+        records = [futures[w].result() for w in range(len(windows))]
+    except BaseException:
+        # A pool whose manager thread never started, or whose worker died,
+        # leaves workers that no shutdown tells to exit.
+        processes = list((pool._processes or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
+            process.join()
+        raise
+    pool.shutdown()
+    return records
+
+
 def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
-    """Execute every cell, window by window in order on the calling thread.
-    ``jobs`` must be an integer >= 1 and does not change the run: the report
-    is deterministic in (config, seed) because each instance owns a
-    counter-keyed stream and outcomes are folded in cell order."""
+    """Execute every cell, window by window.  ``jobs`` must be an integer
+    >= 1.  At 1, or when the pool would have one worker, windows run in
+    order on the calling thread; otherwise they run in a pool of
+    min(jobs, windows, cores) forked processes, the costliest (by
+    instances x dim^3) first.  The report is deterministic in (config, seed)
+    at any ``jobs`` because each instance owns a counter-keyed stream and
+    records are folded in cell order."""
     config.validate()
     check_int(jobs, "jobs", 1)
-    planned = [_plan_cell(config, idx, *cell) for idx, cell in enumerate(plan_cells(config))]
+    planned, _ = _plan(config)
     per_cell = config.instances_per_cell
-    draws = [draw for _, draw in planned if draw is not None]
-    windows = plan_windows(per_cell, [header.dim for header, draw in planned if draw is not None])
-    stream = (outcome for window in windows for outcome in window_outcomes(
-        [partial(draws[cell], i) for cell, start, stop in window for i in range(start, stop)],
-        config.tol, seed=config.seed))
+    dims = [header.dim for header, draw in planned if draw is not None]
+    windows = plan_windows(per_cell, dims)
+    workers = min(jobs, len(windows), os.cpu_count() or 1)
+    if workers > 1:
+        costs = [sum((stop - start) * dims[cell] ** 3 for cell, start, stop in window)
+                 for window in windows]
+        per_window = _pool_map(config, windows, costs, workers)
+    else:
+        per_window = map(partial(_run_window, config), windows)
+    stream = (record for records in per_window for record in records)
     results = [header if draw is None else _fold(header, islice(stream, per_cell))
                for header, draw in planned]
     any_fail = any(c.fail_count > 0 for c in results)

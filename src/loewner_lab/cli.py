@@ -49,8 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--out", required=True, help="path for the report JSON")
     p_campaign.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_campaign.add_argument("--jobs", type=int, default=1,
-                            help="an integer >= 1, accepted; windows run in order on one "
-                                 "thread (same output at any value)")
+                            help="an integer >= 1: run windows of cells in up to this many "
+                                 "worker processes, capped at the cores (same output at "
+                                 "any value)")
 
     p_hunt = sub.add_parser("hunt", help="search for counterexamples under a relaxed hypothesis")
     p_hunt.add_argument("--theorem", required=True)

@@ -515,10 +515,12 @@ def check_tolerance(tol: float) -> None:
         raise ConfigError(f"tol: must be a finite number >= 0, got {tol!r}")
 
 
-def check_int(value, name: str, least: int = 0) -> None:
-    """A count or seed must be an integer (not a bool) >= ``least``."""
+def check_int(value, name: str, least: int = 0, error=ConfigError) -> int:
+    """A count or seed must be an integer (not a bool) >= ``least``; returns
+    it, and raises ``error`` otherwise."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ConfigError(f"{name}: must be an integer >= {least}, got {value!r}")
+        raise error(f"{name}: must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def check_dims(dims, name: str = "dims") -> tuple:

@@ -26,6 +26,7 @@ from .errors import DegenerateInterval, ExhaustedRetries, ShapeMismatch
 from .hermitian import (
     HermitianMatrix,
     Relation,
+    check_int,
     loewner_leq,
     positive_part,
     spectral_bounds,
@@ -99,7 +100,7 @@ class _FamilyInstance(_Instance):
     @staticmethod
     def _family_from_dict(obj: dict, members: tuple, noun: str) -> dict:
         spec = obj.get("family", f"family:n={len(members)}")
-        seed = int(obj.get("family_seed", 0))
+        seed = check_int(obj.get("family_seed", 0), '"family_seed"', error=ShapeMismatch)
         n = parse_family_spec(spec)
         if n != len(members):
             raise ShapeMismatch(f"family size {n} does not match {len(members)} {noun}")
@@ -156,7 +157,7 @@ class QuadrupleInstance(_Instance):
     def from_dict(cls, obj: dict) -> "QuadrupleInstance":
         return cls(**_fields(obj, "A", "B", "C", "D"),
                    relation=SumRelation.from_string(obj.get("relation", "equal-sum")),
-                   nonneg_A=bool(obj.get("nonneg_A", False)))
+                   nonneg_A=_flag(obj, "nonneg_A"))
 
     @cached_property
     def _sum_sides(self) -> tuple:
@@ -276,7 +277,7 @@ class MidpointInstance(_Instance):
     @classmethod
     def from_dict(cls, obj: dict) -> "MidpointInstance":
         return cls(**_fields(obj, "A", "D"),
-                   nonneg_A=bool(obj.get("nonneg_A", False)))
+                   nonneg_A=_flag(obj, "nonneg_A"))
 
     def _violations(self, tol: float) -> list[str]:
         return (self._bound_violations("A", self.A, tol, upper="m", nonneg=self.nonneg_A)
@@ -353,6 +354,14 @@ def _fields(obj, *keys: str) -> dict:
         raise ShapeMismatch(f"instance lacks matrix field(s): {', '.join(missing)}")
     return {"m": float(obj["m"]), "M": float(obj["M"]),
             **{key: HermitianMatrix.from_dict(obj[key]) for key in keys}}
+
+
+def _flag(obj: dict, key: str) -> bool:
+    """An optional JSON bool, false when absent."""
+    v = obj.get(key, False)
+    if not isinstance(v, bool):
+        raise ShapeMismatch(f'"{key}": must be true or false, got {v!r}')
+    return v
 
 
 def _objects(obj: dict, key: str) -> list:

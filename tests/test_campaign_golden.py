@@ -1,6 +1,6 @@
 """Golden byte-identity of campaign reports, and the fold of cell outcomes.
 
-Two campaign reports are pinned by SHA-256 at jobs 1 and 2 and with a
+Two campaign reports are pinned by SHA-256 at jobs 1, 2 and 4 and with a
 window of 2 instances:
 
 * deep: the LC-QUAD, LC-MAP-V2 (mixed map) and LC-MULTI (family) cells at
@@ -9,19 +9,25 @@ window of 2 instances:
   instance per cell, with skipped cells between the runnable ones.
 
 How a campaign schedules its sampling, validation, chain builds and
-eigensolves, within a cell or across cells, may change; its report bytes
-may not.
+eigensolves, within a cell or across cells, on the calling thread or in
+worker processes, may change; its report bytes may not.  A pool that cannot
+start or loses a worker raises, and leaves no process behind.
 """
 
+import errno
 import hashlib
+import multiprocessing
+import os
 import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from loewner_lab import campaign, chains
 from loewner_lab.campaign import CampaignConfig, run_campaign
 from loewner_lab.chains import resolve_theorem, sample_instance_for, window_outcomes
+from loewner_lab.cli import main
 from loewner_lab.errors import HypothesisViolation
 from loewner_lab.functions import parse_function_spec
 from loewner_lab.seeding import spawn_rng
@@ -58,8 +64,9 @@ def _report_sha(config: dict, jobs: int) -> str:
     return hashlib.sha256(dumps_canonical(report.to_dict()).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name, jobs", [("deep", 1), ("deep", 2), ("wide", 1), ("wide", 2)],
-                         ids=["1", "2", "wide-1", "wide-2"])
+@pytest.mark.parametrize("name, jobs", [("deep", 1), ("deep", 2), ("deep", 4),
+                                        ("wide", 1), ("wide", 2), ("wide", 4)],
+                         ids=["1", "2", "4", "wide-1", "wide-2", "wide-4"])
 def test_campaign_report_is_byte_identical(name, jobs):
     config, sha = PINNED[name]
     assert _report_sha(config, jobs) == sha
@@ -73,43 +80,132 @@ def test_campaign_report_does_not_depend_on_the_cell_window(name, monkeypatch):
 
 
 def test_window_pool_with_more_workers_than_cores_matches_serial(monkeypatch):
-    # Windows of two instances give the pool many windows in flight, and a
-    # tiny switch interval makes its threads interleave as often as possible.
+    # Windows of two instances give the pool many windows in flight, jobs 4
+    # asks for more workers than a 2-core host has, and a tiny switch
+    # interval makes the parent's threads interleave as often as possible.
     monkeypatch.setattr(chains, "WINDOW", 2)
     config = CampaignConfig.from_dict(WIDE_CONFIG)
     serial = dumps_canonical(run_campaign(config, jobs=1).to_dict())
-    pooled = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        worker = threading.Thread(
-            target=lambda: pooled.append(dumps_canonical(run_campaign(config, jobs=4).to_dict())),
-            daemon=True)
-        worker.start()
-        worker.join(timeout=120)
+        pooled = _guarded(lambda: dumps_canonical(run_campaign(config, jobs=4).to_dict()))
     finally:
         sys.setswitchinterval(interval)
-    assert not worker.is_alive()
-    assert pooled == [serial]
+    assert pooled == serial
 
 
-def test_windows_run_in_order_on_the_calling_thread(monkeypatch):
-    # At jobs 2 every window runs on the thread that called
-    # run_campaign, and no thread is started along the way.
+_START_THREAD = threading.Thread.start
+
+
+def _guarded(target, timeout=120):
+    """``target()`` run in a thread joined with a timeout: its value, or the
+    error it raised.  Either way no worker process may be left running."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = target()
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    _START_THREAD(thread)
+    thread.join(timeout)
+    left = multiprocessing.active_children()
+    for process in left:  # so that a failure here does not hang the exit
+        process.terminate()
+        process.join()
+    assert not thread.is_alive(), "run_campaign did not return within the timeout"
+    assert left == []
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """Windows of two instances, on a host that reports four cores, so a
+    pool starts whatever this host has."""
     monkeypatch.setattr(chains, "WINDOW", 2)
-    callers = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+def _campaign_cli(config: dict, tmp_path, jobs: int) -> int:
+    path = tmp_path / "c.json"
+    path.write_text(dumps_canonical(config))
+    return main(["campaign", "--config", str(path), "--out", str(tmp_path / "r.json"),
+                 "--jobs", str(jobs)])
+
+
+def test_windows_run_in_worker_processes_at_jobs_2(four_cores, monkeypatch, tmp_path):
+    log = tmp_path / "pids"
 
     def recording(*args, **kwargs):
-        callers.append(threading.get_ident())
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
         return window_outcomes(*args, **kwargs)
 
-    def refuse(self):
-        raise AssertionError("run_campaign started a thread")
-
     monkeypatch.setattr(campaign, "window_outcomes", recording)
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert _report_sha(WIDE_CONFIG, 2) == WIDE_SHA256
-    assert len(callers) > 1 and set(callers) == {threading.get_ident()}
+    assert _guarded(lambda: _report_sha(WIDE_CONFIG, 2)) == WIDE_SHA256
+    pids = log.read_text().split()
+    assert len(pids) > 2 and str(os.getpid()) not in pids and len(set(pids)) <= 2
+
+
+@pytest.mark.parametrize("cls, error", [
+    (threading.Thread, RuntimeError("can't start new thread")),
+    (multiprocessing.process.BaseProcess, OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+], ids=["thread", "process"])
+def test_a_pool_that_cannot_start_raises(cls, error, four_cores, monkeypatch, tmp_path):
+    # The pool forks its workers, then starts its manager thread.
+    def refuse(self):
+        raise error
+
+    monkeypatch.setattr(cls, "start", refuse)
+    with pytest.raises(type(error)):
+        _guarded(lambda: run_campaign(CampaignConfig.from_dict(WIDE_CONFIG), jobs=2))
+    assert _guarded(lambda: _campaign_cli(WIDE_CONFIG, tmp_path, 2)) == 2
+
+
+def test_a_worker_that_dies_raises(four_cores, monkeypatch, tmp_path):
+    parent = os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return window_outcomes(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "window_outcomes", dying)
+    with pytest.raises(BrokenProcessPool):
+        _guarded(lambda: run_campaign(CampaignConfig.from_dict(WIDE_CONFIG), jobs=2))
+    assert _guarded(lambda: _campaign_cli(WIDE_CONFIG, tmp_path, 2)) == 2
+
+
+# Three cells of one instance each: three windows of one instance.
+THREE_WINDOWS = dict(GOLDEN_CONFIG, theorem_ids=["LC-QUAD"], dims=[2, 3, 4],
+                     instances_per_cell=1)
+
+
+@pytest.mark.parametrize("jobs, cores, workers", [
+    (100000, 64, 3), (2, 64, 2), (100000, 2, 2), (100000, 1, 0), (100000, None, 0), (1, 64, 0),
+])
+def test_pool_size_is_bounded_by_jobs_windows_and_cores(jobs, cores, workers, monkeypatch):
+    monkeypatch.setattr(chains, "WINDOW", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    config = CampaignConfig.from_dict(THREE_WINDOWS)
+    serial = dumps_canonical(run_campaign(config, jobs=1).to_dict())
+    start = multiprocessing.process.BaseProcess.start
+    started = []
+
+    def counting(self):
+        started.append(self)
+        if len(started) > 4:  # a broken bound must not fork many workers
+            raise OSError(errno.EAGAIN, "refused past four workers")
+        return start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+    assert _guarded(lambda: dumps_canonical(run_campaign(config, jobs=jobs).to_dict())) == serial
+    assert len(started) == workers
 
 
 def _digest_of(cfg: CampaignConfig, cell_index: int, instance_index: int) -> str:
@@ -154,3 +250,28 @@ def test_error_in_one_instance_keeps_serial_fold(module, target, config, monkeyp
     expected[1 // per_cell][1 % per_cell] = "error:HypothesisViolation:injected: second instance"
     assert [(cell.pass_count, cell.fail_count) for cell in cells] == [(0, per_cell)] * len(cells)
     assert [list(cell.failing) for cell in cells] == expected
+
+
+@pytest.mark.parametrize("module, target, dim_of", [
+    (campaign, "sample_instance_for", lambda args: args[2]),
+    (chains, "build_chain", lambda args: args[1].dim),
+], ids=["sample_instance_for", "build_chain"])
+def test_error_in_one_instance_folds_the_same_at_jobs_2(module, target, dim_of, four_cores,
+                                                       monkeypatch):
+    # The injection is keyed by the drawn instance, not by a call count, so
+    # it raises in whichever process draws the dim-3 cell's instance.
+    cfg = CampaignConfig.from_dict(dict(FOUR_CELLS, tol=1e-30))
+    original = getattr(module, target)
+
+    def dim_3_raises(*args, **kwargs):
+        if dim_of(args) == 3:
+            raise HypothesisViolation("injected", "dim 3")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, target, dim_3_raises)
+    expected = [[_digest_of(cfg, c, 0)] for c in range(len(cfg.dims))]
+    expected[1] = ["error:HypothesisViolation:injected: dim 3"]
+    for jobs in (1, 2):
+        cells = _guarded(lambda: run_campaign(cfg, jobs=jobs).cells)
+        assert [(cell.pass_count, cell.fail_count) for cell in cells] == [(0, 1)] * len(cells)
+        assert [list(cell.failing) for cell in cells] == expected

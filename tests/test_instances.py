@@ -183,6 +183,8 @@ def test_instance_file_roundtrips():
     ({"m": None}, ShapeMismatch),
     ({"M": False}, ShapeMismatch),
     ({"D": None}, ShapeMismatch),
+    ({"nonneg_A": "false"}, ShapeMismatch),
+    ({"nonneg_A": 0}, ShapeMismatch),
 ])
 def test_malformed_instance_file_raises_typed_error(patch, error):
     obj = {key: value for key, value in
@@ -190,6 +192,36 @@ def test_malformed_instance_file_raises_typed_error(patch, error):
            if value is not None}
     with pytest.raises(error):
         instance_from_dict(obj)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+@pytest.mark.parametrize("sampled", [
+    sample_quadruple(2, 1.0, 2.0, nonneg_A=True, seed=3),
+    sample_midpoint(2, 1.0, 2.0, nonneg_A=True, seed=4),
+], ids=["quadruple", "midpoint"])
+def test_nonneg_A_must_be_a_json_bool(sampled, value):
+    # "false" was read with bool() as True, and the instance validated
+    # against A >= 0.
+    obj = sampled.to_dict()
+    for flag in (True, False):
+        assert instance_from_dict(dict(obj, nonneg_A=flag)).nonneg_A is flag
+    assert instance_from_dict({k: v for k, v in obj.items() if k != "nonneg_A"}).nonneg_A is False
+    with pytest.raises(ShapeMismatch, match="nonneg_A"):
+        instance_from_dict(dict(obj, nonneg_A=value))
+
+
+@pytest.mark.parametrize("value", [2.7, True, "x", -1, None, "3"])
+@pytest.mark.parametrize("sampled", [
+    sample_mercer_family(2, 2, 1.0, 2.0, seed=5),
+    sample_quadruple_family(2, 2, 1.0, 2.0, seed=6),
+], ids=["mercer", "multi"])
+def test_family_seed_must_be_an_integer_at_least_0(sampled, value):
+    # 2.7 was truncated to 2 and true read as 1; "x" and -1 raised an
+    # unexpected ValueError.
+    obj = sampled.to_dict()
+    assert instance_from_dict(obj).to_dict() == obj
+    with pytest.raises(ShapeMismatch, match="family_seed"):
+        instance_from_dict(dict(obj, family_seed=value))
 
 
 @pytest.mark.parametrize("obj", [[], 5, "B", {"quadruples": 5, "m": 1.0, "M": 2.0},
