@@ -364,12 +364,16 @@ def _pool_map(config: CampaignConfig, windows, costs, workers: int) -> list:
         records = [futures[w].result() for w in range(len(windows))]
     except BaseException:
         # A pool whose manager thread never started, or whose worker died,
-        # leaves workers that no shutdown tells to exit.
+        # leaves workers that no shutdown tells to exit.  A running manager
+        # thread may be reaping them too, so it is waited for last.
         processes = list((pool._processes or {}).values())
+        manager = pool._executor_manager_thread
         pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             process.terminate()
             process.join()
+        if manager is not None and manager.is_alive():
+            manager.join()
         raise
     pool.shutdown()
     return records
