@@ -245,13 +245,16 @@ def _plan_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
     ranges = _compatible_ranges(spec, f, config.mm_ranges)
     family_size = parse_family_spec(map_spec) if spec.map_mode == "family" else 3
 
-    def draw(i: int) -> Drawn:
+    def draw(i: int):
         rng = spawn_rng(config.seed, cell_index, i)
         lo, hi = ranges[i % len(ranges)]
         m, big_m = _draw_mm(rng, float(lo), float(hi))
-        inst = sample_instance_for(spec, f, dim, m, big_m, rng, family_size=family_size)
-        return Drawn(spec, f, inst,
-                     sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None)
+        inst = yield from sample_instance_for.steps(spec, f, dim, m, big_m, rng,
+                                                    family_size=family_size)
+        maps = None
+        if spec.map_mode == "single":
+            maps = yield from sample_map.steps(map_spec, dim, rng)
+        return Drawn(spec, f, inst, maps)
 
     return header, draw
 

@@ -37,12 +37,15 @@ So are the hypotheses beyond the function class: a row names its instance
 kind, function class, terms and optional power restriction, and the map
 mode, the sum hypothesis and A >= 0 follow from those (``TheoremSpec``).
 
-Instances are checked in windows by one staged function,
-``window_outcomes``: draw, decompose validation spectra as same-dimension
-stacks, build, decompose link differences as stacks, evaluate.  Each drawn
-instance carries its own theorem and function, so a campaign window spans
-cells; a hunt reads ``instance_outcomes``, whose windows grow 1, 2, 4, 8
-instances, then ``WINDOW``.
+Drawing, building and evaluating are decomposition steps (see
+``hermitian.gather``): hypotheses request every spectrum validation reads,
+a build every operand a function is applied to, and evaluation every link
+difference, each in one round.  ``window_outcomes`` runs a window's
+instances side by side in rounds, so each round's requests are decomposed
+as same-dimension stacks.  Each drawn instance carries its own theorem and
+function, so a campaign window spans cells; a hunt reads
+``instance_outcomes``, whose windows grow 1, 2, 4, 8 instances, then
+``WINDOW``.
 
 Registry ids (case-insensitive):
 
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, LoewnerLabError,
@@ -71,8 +74,8 @@ from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, Loewn
 from .functions import (CONVEX, LOG_CONVEX, SUPERQUADRATIC, FunctionDescriptor, Interval,
                         interpolation_constants, tilde_t)
 from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_scalar_function,
-                        check_dims, check_int, check_tolerance, eigendecompose_many, loewner_leq,
-                        spectral_bounds)
+                        check_dims, check_int, check_tolerance, drive, gather, loewner_leq,
+                        spectral_bounds, stepwise)
 from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
                         QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
                         sample_midpoint, sample_quadruple, sample_quadruple_family,
@@ -163,13 +166,6 @@ class ExpressionChain:
     def instance_digest(self) -> str:
         return _digest_of(self.instance)
 
-    @cached_property
-    def differences(self) -> tuple:
-        """upper - lower of every link, built once: ``evaluate_chain`` judges
-        each link by this object's spectrum, so a caller can decompose them
-        all ahead of it."""
-        return tuple(hi - lo for lo, hi in zip(self.terms, self.terms[1:]))
-
 
 @dataclass(frozen=True)
 class LinkReport:
@@ -225,17 +221,21 @@ class ChainReport:
         }
 
 
+@stepwise
 def evaluate_chain(chain: ExpressionChain, tol: float = DEFAULT_PSD_TOL,
                    seed: int | None = None) -> ChainReport:
     """Check every adjacent pair in the Loewner order.
 
     A link holds when the smallest eigenvalue of (upper - lower) stays above
     minus the effective tolerance; it is flagged an equality when the
-    difference is negligible relative to the terms.
+    difference is negligible relative to the terms.  Its steps request
+    every link difference in one round.
     """
+    differences = tuple(hi - lo for lo, hi in zip(chain.terms, chain.terms[1:]))
+    yield differences
     links = []
     ok = True
-    for lo, hi, diff, l_lo, l_hi in zip(chain.terms, chain.terms[1:], chain.differences,
+    for lo, hi, diff, l_lo, l_hi in zip(chain.terms, chain.terms[1:], differences,
                                          chain.labels, chain.labels[1:]):
         verdict = loewner_leq(lo, hi, tol, diff=diff)
         equality = diff.fro_norm <= EQUALITY_TOL * max(1.0, lo.fro_norm, hi.fro_norm)
@@ -374,7 +374,9 @@ def _strip(items) -> tuple:
 
 class _Evaluator:
     """Evaluates table terms on one instance.  Within one build every
-    operand, operator image, applied function and scalar is computed once."""
+    operand, operator image, applied function and scalar is computed once.
+    ``operands`` lists every matrix a function is applied to, built ahead of
+    the fold so that they can be decomposed together."""
 
     def __init__(self, spec: "TheoremSpec", inst, f: FunctionDescriptor, maps):
         self.inst, self.f, self.memo = inst, f, {}
@@ -438,15 +440,23 @@ class _Evaluator:
             return self._cached(name, lambda: f(M - m) / (M - m))
         return self._cached(name, lambda: f({"f(m)": m, "f(M)": M, "f(0)": 0.0}[name]))
 
+    def _inputs(self, place: str, operand: str) -> list:
+        """What an atom applies its function to: the mapped operand for OUT,
+        every member's raw operand for IN, the one raw operand for DIR."""
+        x = self._operand(operand, place == OUT)
+        return [x] if place == OUT else x if place == IN else x[:1]
+
+    def operands(self, terms) -> list:
+        return [x for t in terms for _, place, fn, operand in _atoms(t.atoms)
+                if fn not in (ID, CONST) for x in self._inputs(place, operand)]
+
     def _atom(self, place: str, fn: str, operand: str):
         if fn == CONST:
             return self._scalar(operand)
 
         def value():
-            if place == IN:
-                return self._push([self._apply(fn, x) for x in self._operand(operand, False)])
-            x = self._operand(operand, place == OUT)
-            return self._apply(fn, x if place == OUT else x[0])
+            values = [self._apply(fn, x) for x in self._inputs(place, operand)]
+            return self._push(values) if place == IN else values[0]
 
         return self._cached((place, fn, operand), value)
 
@@ -475,13 +485,13 @@ class _Evaluator:
 # ---------------------------------------------------------------------------
 
 
-def _placements(items):
-    """Every atom's placement, groups included."""
+def _atoms(items):
+    """Every atom, groups included."""
     for item in items:
         if len(item) == 2:
-            yield from _placements(item[1])
+            yield from _atoms(item[1])
         else:
-            yield item[1]
+            yield item
 
 
 @dataclass(frozen=True)
@@ -510,7 +520,7 @@ class TheoremSpec:
     def __post_init__(self):
         if issubclass(self.instance_kind, _FamilyInstance):
             map_mode = "family"
-        elif any(place in (IN, OUT) for t in self.terms for place in _placements(t.atoms)):
+        elif any(atom[1] in (IN, OUT) for t in self.terms for atom in _atoms(t.atoms)):
             map_mode = "single"
         else:
             map_mode = "none"
@@ -707,14 +717,16 @@ def resolve_theorem(theorem_id: str) -> TheoremSpec:
 
 
 def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
-                      tol: float, relaxed: str | None) -> None:
+                      tol: float, relaxed: str | None):
+    """Steps that raise on the first unmet hypothesis.  Every spectrum read
+    here is one validation reads, so validation's round is the only one."""
     check_tolerance(tol)
     if not isinstance(inst, spec.instance_kind):
         raise ShapeMismatch(f"{spec.id} expects a {spec.instance_kind.__name__}, "
                             f"got {type(inst).__name__}")
     if not inst.m < inst.M:
         raise DegenerateInterval(f"need m < M, got m={inst.m!r}, M={inst.M!r}")
-    violations = validate_instance(inst, tol)
+    violations = yield from validate_instance.steps(inst, tol)
     if violations:
         raise HypothesisViolation("instance invariants", violations[0])
     _check_relaxation(spec, relaxed)
@@ -739,8 +751,11 @@ def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
         raise ShapeMismatch(f"{spec.id} needs an instance carrying a map family")
 
 
-def _compile(spec: TheoremSpec, terms, name: str, instance, f, maps) -> ExpressionChain:
+def _compile(spec: TheoremSpec, terms, name: str, instance, f, maps):
+    """Steps to the chain of ``terms``: one round requests every operand a
+    function is applied to, then the terms fold."""
     evaluator = _Evaluator(spec, instance, f, maps)
+    yield evaluator.operands(terms)
     return ExpressionChain(
         theorem=name,
         terms=tuple(evaluator.fold(t.atoms) for t in terms),
@@ -749,6 +764,7 @@ def _compile(spec: TheoremSpec, terms, name: str, instance, f, maps) -> Expressi
     )
 
 
+@stepwise
 def build_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
                 relaxed: str | None = None, tol: float = DEFAULT_PSD_TOL) -> ExpressionChain:
     """Compile the registered chain for this theorem on a concrete instance.
@@ -758,17 +774,19 @@ def build_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
     which is how the counterexample hunter probes necessity.
     """
     spec = resolve_theorem(theorem if isinstance(theorem, str) else theorem.id)
-    _check_hypotheses(spec, instance, f, maps, tol, relaxed)
-    return _compile(spec, spec.terms, spec.id, instance, f, maps)
+    yield from _check_hypotheses(spec, instance, f, maps, tol, relaxed)
+    return (yield from _compile(spec, spec.terms, spec.id, instance, f, maps))
 
 
+@stepwise
 def baseline_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
                    tol: float = DEFAULT_PSD_TOL) -> ExpressionChain:
     """The two-term envelope of the theorem with every refinement stripped;
     the full chain passing implies this passes."""
     spec = resolve_theorem(theorem if isinstance(theorem, str) else theorem.id)
-    _check_hypotheses(spec, instance, f, maps, tol, None)
-    return _compile(spec, spec.baseline_terms, f"{spec.id}:baseline", instance, f, maps)
+    yield from _check_hypotheses(spec, instance, f, maps, tol, None)
+    return (yield from _compile(spec, spec.baseline_terms, f"{spec.id}:baseline", instance, f,
+                                maps))
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +804,7 @@ def needs_nonneg_instances(spec: TheoremSpec, f: FunctionDescriptor) -> bool:
     return spec.needs_nonneg or f.domain.lo >= 0.0
 
 
+@stepwise
 def sample_instance_for(spec: TheoremSpec, f: FunctionDescriptor, dim: int,
                         m: float, M: float, rng, *, family_size: int = 3,
                         relation: SumRelation | None = None):
@@ -795,17 +814,17 @@ def sample_instance_for(spec: TheoremSpec, f: FunctionDescriptor, dim: int,
         if relation is None:
             relation = (SumRelation.EQUAL if spec.condition == "equal-sum"
                         else condition_relation(f, m, M))
-        return sample_quadruple(dim, m, M, relation, nonneg_A=nonneg, seed=rng)
+        return (yield from sample_quadruple.steps(dim, m, M, relation, nonneg, rng))
     if spec.instance_kind is MultiQuadrupleInstance:
-        return sample_quadruple_family(family_size, dim, m, M, nonneg_A=nonneg, seed=rng)
+        return (yield from sample_quadruple_family.steps(family_size, dim, m, M, nonneg, rng))
     if spec.instance_kind is MercerInstance:
-        return sample_mercer_family(family_size, dim, m, M, seed=rng)
+        return (yield from sample_mercer_family.steps(family_size, dim, m, M, rng))
     return sample_midpoint(dim, m, M, nonneg_A=nonneg, seed=rng)
 
 
 class Drawn(NamedTuple):
     """A drawn instance with the theorem, function and map its chain is
-    built from."""
+    built from; a window's draws are steps that return one."""
 
     spec: TheoremSpec
     f: FunctionDescriptor
@@ -818,36 +837,30 @@ class Drawn(NamedTuple):
 WINDOW = 16
 
 
+def _outcome_steps(draw, tol: float, seed: int | None, relaxed: str | None):
+    """Steps to one instance's ChainReport, or to the LoewnerLabError that
+    stopped it."""
+    try:
+        d = yield from draw()
+        chain = yield from build_chain.steps(d.spec, d.instance, d.f, d.maps, relaxed=relaxed,
+                                             tol=tol)
+        return (yield from evaluate_chain.steps(chain, tol, seed))
+    except LoewnerLabError as exc:
+        return exc
+
+
 def window_outcomes(draws, tol: float, *, seed: int | None, relaxed: str | None = None) -> list:
     """The ChainReport, or the LoewnerLabError that stopped it, of the
-    instance each ``draw()`` returns as a ``Drawn``, in order.
+    instance each ``draw()`` steps to as a ``Drawn``, in order.
 
-    The window draws every instance, decomposes the spectra validation reads
-    as same-dimension stacks, builds every chain, decomposes the link
-    differences as stacks, then evaluates.  Values depend neither on that
-    order nor on which instances share a stack, and ``eigendecompose_many``
-    leaves what it cannot finish to the serial path, so outcomes and errors
-    are those of one instance at a time.
+    The window runs every instance's draw, build and evaluation steps side
+    by side in rounds (``hermitian.gather``), and decomposes what each round
+    requests as same-dimension stacks.  Each instance draws from its own
+    stream, values depend neither on the rounds nor on which instances share
+    a stack, and ``eigendecompose_many`` leaves what it cannot finish to the
+    serial path, so outcomes and errors are those of one instance at a time.
     """
-    outcomes, drawn, built = [None] * len(draws), {}, {}
-    for i, draw in enumerate(draws):
-        try:
-            drawn[i] = draw()
-        except LoewnerLabError as exc:
-            outcomes[i] = exc
-    eigendecompose_many(mat for d in drawn.values() for mat in d.instance.validation_operands())
-    for i, d in drawn.items():
-        try:
-            built[i] = build_chain(d.spec, d.instance, d.f, d.maps, relaxed=relaxed, tol=tol)
-        except LoewnerLabError as exc:
-            outcomes[i] = exc
-    eigendecompose_many(diff for chain in built.values() for diff in chain.differences)
-    for i, chain in built.items():
-        try:
-            outcomes[i] = evaluate_chain(chain, tol, seed=seed)
-        except LoewnerLabError as exc:
-            outcomes[i] = exc
-    return outcomes
+    return drive(gather([_outcome_steps(draw, tol, seed, relaxed) for draw in draws]))
 
 
 def instance_outcomes(count: int, draw, tol: float, *, seed: int | None,
@@ -920,10 +933,12 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     def draw(attempt: int):
         rng = spawn_rng(seed, attempt)
         dim = dims[attempt % len(dims)]
-        inst = sample_instance_for(spec, f, dim, m, M, rng,
-                                   relation=relations[attempt % len(relations)])
-        return Drawn(spec, f, inst,
-                     sample_map(map_spec, dim, rng) if spec.map_mode == "single" else None)
+        inst = yield from sample_instance_for.steps(spec, f, dim, m, M, rng,
+                                                    relation=relations[attempt % len(relations)])
+        maps = None
+        if spec.map_mode == "single":
+            maps = yield from sample_map.steps(map_spec, dim, rng)
+        return Drawn(spec, f, inst, maps)
 
     outcomes = instance_outcomes(budget, draw, tol, seed=seed, relaxed=relaxation)
     for attempt, outcome in enumerate(outcomes):

@@ -21,11 +21,18 @@ vectorized update per (p, q) pair, and yields for every member the bytes
 ``_jacobi`` yields for it.  Below ``BATCH_MIN`` a stack's numpy calls per
 rotation cost more than the serial calls they replace, so smaller groups
 are left to the serial kernel, run when a matrix is first read.
+
+A stage that reads spectra is written as decomposition steps, a generator
+that yields the matrices it is about to read and returns its result.
+``drive`` runs steps alone, ``gather`` runs several side by side in rounds
+so that what they request is decomposed together, and ``stepwise`` turns
+steps into the one-shot function that drives them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,9 +101,15 @@ class HermitianMatrix:
                 )
         herm = (arr + arr.conj().T) / 2.0
         herm.setflags(write=False)
-        self._entries = herm
-        self._fro = float(np.linalg.norm(herm))
-        self._eig = None
+        self._entries, self._fro, self._eig = herm, None, None
+
+    @classmethod
+    def _trusted(cls, entries: np.ndarray) -> "HermitianMatrix":
+        """Wrap entries that symmetrization would return unchanged, bit for bit."""
+        out = cls.__new__(cls)
+        entries.setflags(write=False)
+        out._entries, out._fro, out._eig = entries, None, None
+        return out
 
     @property
     def dim(self) -> int:
@@ -108,20 +121,29 @@ class HermitianMatrix:
 
     @property
     def fro_norm(self) -> float:
+        if self._fro is None:
+            self._fro = float(np.linalg.norm(self._entries))
         return self._fro
 
-    # -- arithmetic (always re-wraps, so results stay Hermitian) -----------
+    # -- arithmetic -----------------------------------------------------------
+    # Sums, differences and positive scalings of symmetrized real or generic
+    # complex entries come out symmetrized bit for bit; only the sign of a
+    # zero can differ, beside an exactly zero real part.  Negation and other
+    # scalings leave -0 in both imaginary parts of a real off-diagonal pair,
+    # which symmetrization turns back to +0, so they take the full constructor.
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._check_dim(other)
-        return HermitianMatrix(self._entries + other._entries)
+        return HermitianMatrix._trusted(self._entries + other._entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._check_dim(other)
-        return HermitianMatrix(self._entries - other._entries)
+        return HermitianMatrix._trusted(self._entries - other._entries)
 
     def __mul__(self, scalar: float) -> "HermitianMatrix":
-        return HermitianMatrix(self._entries * float(scalar))
+        scalar = float(scalar)
+        return (HermitianMatrix._trusted if scalar > 0.0 else HermitianMatrix)(
+            self._entries * scalar)
 
     __rmul__ = __mul__
 
@@ -450,6 +472,61 @@ def eigendecompose_many(matrices) -> None:
             for matrix, result in zip(stack, results):
                 if result is not None:
                     _store(matrix, *result)
+
+
+def drive(steps):
+    """Run decomposition steps alone to their result.
+
+    Steps are a generator (PEP 342) that yields the matrices whose spectra
+    it is about to read and returns its result; each yield is decomposed
+    with ``eigendecompose_many`` before the steps are resumed."""
+    while True:
+        try:
+            requests = next(steps)
+        except StopIteration as stop:
+            return stop.value
+        eigendecompose_many(requests)
+
+
+def stepwise(steps):
+    """Decorator for a stage written as decomposition steps: the function
+    it returns runs them alone with ``drive``, and keeps them as its
+    ``steps`` attribute for callers that run several side by side."""
+    @functools.wraps(steps)
+    def run(*args, **kwargs):
+        return drive(steps(*args, **kwargs))
+
+    run.steps = steps
+    return run
+
+
+def gather(steps):
+    """Steps that run ``steps`` side by side and return their results in
+    order; an error raised in one of them is raised from here.
+
+    Each round advances every step that is not waiting, in order, to its
+    next request, and yields every pending request together.  A step whose
+    request comes back partly undecomposed (left in a same-dimension group
+    below ``BATCH_MIN``) waits, so that steps behind it can join that group.
+    When no request came back whole, the step with the fewest matrices left
+    resumes and reads them through the serial kernel.  Steps that draw from
+    one stream must draw nothing after their first request.
+    """
+    results = [None] * len(steps)
+    waiting, ready = {}, range(len(steps))
+    while True:
+        for i in ready:
+            try:
+                waiting[i] = tuple(next(steps[i]))
+            except StopIteration as stop:
+                results[i] = stop.value
+        if not waiting:
+            return results
+        yield [mat for request in waiting.values() for mat in request]
+        left = {i: sum(mat._eig is None for mat in request) for i, request in waiting.items()}
+        ready = sorted(i for i, n in left.items() if not n) or [min(left, key=left.get)]
+        for i in ready:
+            del waiting[i]
 
 
 def eigenvalues_of(matrix: HermitianMatrix) -> np.ndarray:

@@ -10,7 +10,10 @@ so each sampler builds the constraints in by construction:
   on one endpoint, then add a small strict PSD margin.
 
 All sampling is deterministic in ``(parameters, seed)`` through splittable
-counter-based streams, whatever order instances are drawn in.
+counter-based streams, whatever order instances are drawn in.  Samplers and
+validation are decomposition steps (see ``hermitian.gather``): each sampler
+makes its draws in one fixed order, and requests a spectrum before it reads
+it, after every draw that does not depend on it.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ from .hermitian import (
     HermitianMatrix,
     Relation,
     check_int,
+    gather,
     loewner_leq,
     positive_part,
     spectral_bounds,
+    stepwise,
 )
 from .maps import MapFamily, parse_family_spec, random_isometry, sample_map_family
 from .seeding import as_generator
@@ -61,11 +66,6 @@ class _Instance:
 
     def digest(self) -> str:
         return digest(self.to_dict())
-
-    def validation_operands(self) -> tuple:
-        """Every matrix whose spectrum ``validate_instance`` reads, so that a
-        caller can decompose them ahead of it (``eigendecompose_many``)."""
-        raise NotImplementedError
 
     def _bound_violations(self, name: str, mat: HermitianMatrix, tol: float, lower=None,
                           upper=None, nonneg: bool = False) -> list[str]:
@@ -117,10 +117,10 @@ class _FamilyInstance(_Instance):
         return out
 
 
-def _draw_family(n: int, dim: int, rng: np.random.Generator) -> dict:
-    """Family fields of a sampled instance, drawn last from ``rng``."""
+def _family_steps(n: int, dim: int, rng: np.random.Generator):
+    """Steps to the family fields of a sampled instance, drawn last from ``rng``."""
     seed = int(rng.integers(0, 2**62))
-    return {"family": sample_map_family(n, dim, seed),
+    return {"family": (yield from sample_map_family.steps(n, dim, seed)),
             "family_spec": f"family:n={n}", "family_seed": seed}
 
 
@@ -171,10 +171,8 @@ class QuadrupleInstance(_Instance):
         lhs, rhs, diff = self._sum_sides
         return loewner_leq(lhs, rhs, tol, diff=diff)
 
-    def validation_operands(self) -> tuple:
-        return self.A, self.B, self.C, self.D, self._sum_sides[2]
-
-    def _violations(self, tol: float) -> list[str]:
+    def _violations(self, tol: float):
+        yield self.A, self.B, self.C, self.D, self._sum_sides[2]
         named = (("A", self.A), ("B", self.B), ("C", self.C), ("D", self.D))
         out = [f"{name} has dim {mat.dim}, expected {self.dim}"
                for name, mat in named if mat.dim != self.dim]
@@ -231,10 +229,8 @@ class MercerInstance(_FamilyInstance):
         return cls(B_list=b_list, **_fields(obj),
                    **cls._family_from_dict(obj, b_list, "operators"))
 
-    def validation_operands(self) -> tuple:
-        return self.B_list
-
-    def _violations(self, tol: float) -> list[str]:
+    def _violations(self, tol: float):
+        yield self.B_list
         out: list[str] = []
         for i, b in enumerate(self.B_list):
             out += self._bound_violations(f"B_{i}", b, tol, lower="m", upper="M")
@@ -262,9 +258,6 @@ class MidpointInstance(_Instance):
     def midpoint(self) -> HermitianMatrix:
         return 0.5 * (self.A + self.D)
 
-    def validation_operands(self) -> tuple:
-        return self.A, self.D, self.midpoint
-
     def to_dict(self) -> dict:
         return {
             "A": self.A.to_dict(),
@@ -279,7 +272,8 @@ class MidpointInstance(_Instance):
         return cls(**_fields(obj, "A", "D"),
                    nonneg_A=_flag(obj, "nonneg_A"))
 
-    def _violations(self, tol: float) -> list[str]:
+    def _violations(self, tol: float):
+        yield self.A, self.D, self.midpoint
         return (self._bound_violations("A", self.A, tol, upper="m", nonneg=self.nonneg_A)
                 + self._bound_violations("D", self.D, tol, lower="M")
                 + self._bound_violations("(A+D)/2", self.midpoint, tol, lower="m", upper="M"))
@@ -315,31 +309,31 @@ class MultiQuadrupleInstance(_FamilyInstance):
         return cls(quadruples=quads, **_fields(obj),
                    **cls._family_from_dict(obj, quads, "quadruples"))
 
-    def validation_operands(self) -> tuple:
-        return tuple(mat for q in self.quadruples for mat in q.validation_operands())
-
-    def _violations(self, tol: float) -> list[str]:
+    def _violations(self, tol: float):
+        found = yield from gather([q._violations(tol) for q in self.quadruples])
         out = []
-        for i, q in enumerate(self.quadruples):
+        for i, (q, violations) in enumerate(zip(self.quadruples, found)):
             if q.relation is not SumRelation.EQUAL:
                 out.append(f"quadruple[{i}] relation is {q.relation.value}, expected equal-sum")
-            out.extend(f"quadruple[{i}]: {v}" for v in q._violations(tol))
+            out.extend(f"quadruple[{i}]: {v}" for v in violations)
         if abs(self.m - self.quadruples[0].m) > 0 or abs(self.M - self.quadruples[0].M) > 0:
             out.append("shared (m, M) differs from member quadruples")
         return out + self._family_violations("quadruples")
 
 
+@stepwise
 def validate_instance(inst, tol: float = 1e-10) -> list[str]:
     """Check every invariant of the instance numerically.
 
     Returns a list of violation strings (empty means valid); each names the
     constraint and the offending eigenvalue.  Spectral bounds use a
     tolerance relative to max(1, |m|, |M|); sum relations use the Loewner
-    comparison at ``tol``.
+    comparison at ``tol``.  Its steps request every matrix whose spectrum
+    it reads in one round.
     """
     if not isinstance(inst, _Instance):
         raise ShapeMismatch(f"cannot validate object of type {type(inst).__name__}")
-    return inst._violations(tol)
+    return (yield from inst._violations(tol))
 
 
 def _fields(obj, *keys: str) -> dict:
@@ -419,6 +413,7 @@ def _check_interval(m: float, M: float, nonneg_A: bool = False) -> None:
         raise DegenerateInterval(f"nonneg_A requires m > 0, got m={m}")
 
 
+@stepwise
 def sample_quadruple(dim: int, m: float, M: float, relation: SumRelation | str = SumRelation.EQUAL,
                      nonneg_A: bool = False, seed=0) -> QuadrupleInstance:
     """Quadruple with B, C sandwiched in [m, M], A below m, D above M, and
@@ -427,6 +422,11 @@ def sample_quadruple(dim: int, m: float, M: float, relation: SumRelation | str =
     With ``nonneg_A`` the shift below m is capped so A stays PSD; parameter
     combinations that leave no room (for example a positive-part shift
     already larger than m) are resampled, up to MAX_RETRIES.
+
+    As steps: without ``nonneg_A`` no draw depends on a spectrum, so the one
+    attempt makes every draw before its one request.  With it, the cap reads
+    lambda_max(P0) before Q is drawn and A >= 0 is checked, so each attempt
+    requests one matrix at a time.
     """
     if isinstance(relation, str):
         relation = SumRelation.from_string(relation)
@@ -440,47 +440,44 @@ def sample_quadruple(dim: int, m: float, M: float, relation: SumRelation | str =
         C = sample_sandwiched_matrix(dim, m, M, rng)
         S = B + C
 
-        if relation is SumRelation.EQUAL:
-            P0 = positive_part((M + m) * eye - S)
-            cap = _shift_cap(P0, m, spread, nonneg_A)
-            if cap is None:
-                continue
-            Q = _sample_psd_bounded(dim, cap, rng)
-            A = m * eye - P0 - Q
-            D = S - A
-        elif relation is SumRelation.SUM_LEQ:
+        if relation is SumRelation.SUM_LEQ:
             cap = spread if not nonneg_A else min(spread, m)
-            P_A = _sample_psd_bounded(dim, cap, rng)
-            A = m * eye - P_A
-            lift = positive_part(S - A - M * eye)
-            D = M * eye + lift + _sample_psd_bounded(dim, spread, rng)
-        else:  # SUM_GEQ: A + D <= B + C
-            D = M * eye + _sample_psd_bounded(dim, spread, rng)
-            P0 = positive_part(D + m * eye - S)
-            cap = _shift_cap(P0, m, spread, nonneg_A)
-            if cap is None:
-                continue
-            A = m * eye - P0 - _sample_psd_bounded(dim, cap, rng)
+            A = m * eye - _sample_psd_bounded(dim, cap, rng)
+            margin = _sample_psd_bounded(dim, spread, rng)
+            excess = S - A - M * eye
+            yield (excess,)
+            D = M * eye + positive_part(excess) + margin
+        else:  # EQUAL places A below P0 and sets D = S - A; SUM_GEQ draws D first
+            D = None
+            if relation is SumRelation.SUM_GEQ:
+                D = M * eye + _sample_psd_bounded(dim, spread, rng)
+            shifted = (M + m) * eye - S if D is None else D + m * eye - S
+            if nonneg_A:
+                yield (shifted,)
+                P0 = positive_part(shifted)
+                yield (P0,)
+                cap = min(spread, m - spectral_bounds(P0)[1])
+                if cap <= 0.0:  # even P0 overshoots m
+                    continue
+                Q = _sample_psd_bounded(dim, cap, rng)
+            else:
+                Q = _sample_psd_bounded(dim, spread, rng)
+                yield (shifted,)
+                P0 = positive_part(shifted)
+            A = m * eye - P0 - Q
+            if D is None:
+                D = S - A
 
-        inst = QuadrupleInstance(A=A, B=B, C=C, D=D, m=m, M=M,
+        if nonneg_A:
+            yield (A,)
+            if spectral_bounds(A)[0] < 0.0:
+                continue
+        return QuadrupleInstance(A=A, B=B, C=C, D=D, m=m, M=M,
                                  relation=relation, nonneg_A=nonneg_A)
-        if nonneg_A and spectral_bounds(A)[0] < 0.0:
-            continue
-        return inst
     raise ExhaustedRetries(
         f"could not satisfy {relation.value} with nonneg_A={nonneg_A} at dim {dim}, "
         f"m={m}, M={M} within {MAX_RETRIES} attempts"
     )
-
-
-def _shift_cap(p0: HermitianMatrix, m: float, spread: float, nonneg: bool) -> float | None:
-    """Largest extra PSD norm allowed below m; None when even P0 overshoots."""
-    if not nonneg:
-        return spread
-    room = m - spectral_bounds(p0)[1]
-    if room <= 0.0:
-        return None
-    return min(spread, room)
 
 
 def sample_midpoint(dim: int, m: float, M: float, nonneg_A: bool = False,
@@ -499,20 +496,32 @@ def sample_midpoint(dim: int, m: float, M: float, nonneg_A: bool = False,
     return MidpointInstance(A=A, D=D, m=m, M=M, nonneg_A=nonneg_A)
 
 
+@stepwise
 def sample_mercer_family(n: int, dim: int, m: float, M: float, seed=0) -> MercerInstance:
     _check_interval(m, M)
     rng = as_generator(seed)
     b_list = tuple(sample_sandwiched_matrix(dim, m, M, rng) for _ in range(n))
-    return MercerInstance(B_list=b_list, m=m, M=M, **_draw_family(n, dim, rng))
+    return MercerInstance(B_list=b_list, m=m, M=M, **(yield from _family_steps(n, dim, rng)))
 
 
+@stepwise
 def sample_quadruple_family(
     n: int, dim: int, m: float, M: float, nonneg_A: bool = False, seed=0
 ) -> MultiQuadrupleInstance:
-    """n equal-sum quadruples sharing (m, M) plus a map family of size n."""
+    """n equal-sum quadruples sharing (m, M) plus a map family of size n.
+
+    As steps: without ``nonneg_A`` a quadruple draws nothing after its
+    request, so the quadruples and the family draw in turn and request in
+    one round; with it each quadruple runs to its end before the next draws.
+    """
     rng = as_generator(seed)
-    quads = tuple(
-        sample_quadruple(dim, m, M, SumRelation.EQUAL, nonneg_A=nonneg_A, seed=rng)
-        for _ in range(n)
-    )
-    return MultiQuadrupleInstance(quadruples=quads, m=m, M=M, **_draw_family(n, dim, rng))
+    steps = [sample_quadruple.steps(dim, m, M, SumRelation.EQUAL, nonneg_A, rng)
+             for _ in range(n)]
+    steps.append(_family_steps(n, dim, rng))
+    if nonneg_A:
+        drawn = []
+        for step in steps:
+            drawn.append((yield from step))
+    else:
+        drawn = yield from gather(steps)
+    return MultiQuadrupleInstance(quadruples=tuple(drawn[:-1]), m=m, M=M, **drawn[-1])

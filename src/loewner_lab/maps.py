@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SpecParseError, UnknownKind
-from .hermitian import HermitianMatrix, eigendecompose, eigenvalues_of
+from .hermitian import HermitianMatrix, eigendecompose, eigenvalues_of, gather, stepwise
 from .seeding import as_generator
 
 
@@ -318,11 +318,14 @@ def map_misfit(spec: str, dim: int) -> str | None:
     return _partition_misfit(params["blocks"], dim) if "blocks" in params else None
 
 
+@stepwise
 def sample_map(kind: str, dim: int, seed) -> PositiveUnitalMap:
     """Realize a map from its spec string, deterministic in the seed.
 
     Random details (partitions, isometries, unitaries, weights) are drawn
     from the seed stream; explicit parameters in the string pin them down.
+    As steps, a mixed map draws every Gaussian matrix, then requests them in
+    one round and takes their eigenbases as its unitaries.
     """
     if dim < 1:
         raise DimensionMismatch("dim must be >= 1")
@@ -341,34 +344,34 @@ def sample_map(kind: str, dim: int, seed) -> PositiveUnitalMap:
         return CompressionMap(random_isometry(dim, k, rng))
     count = params.get("count", 2)  # mixed, mixed-unitary
     weights = rng.dirichlet(np.ones(count))
-    unitaries = [_unitary_from_eigenbasis(dim, rng) for _ in range(count)]
-    return MixedUnitaryMap(weights, unitaries)
-
-
-def _unitary_from_eigenbasis(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return np.asarray(eigendecompose(_random_hermitian(dim, rng)).vectors)
+    drawn = [_random_hermitian(dim, rng) for _ in range(count)]
+    yield drawn
+    return MixedUnitaryMap(weights, [np.asarray(eigendecompose(h).vectors) for h in drawn])
 
 
 _FAMILY_BASE_KINDS = ("identity", "pinching", "mixed")
 
 
+@stepwise
 def sample_map_family(n: int, dim: int, seed) -> MapFamily:
     """n sub-unital maps w_i * Phi_i with flat-simplex weights, so the unit
     images sum to the identity.  Base maps keep output dim equal to input
-    dim (compressions enter with k = dim, i.e. a unitary rotation)."""
+    dim (compressions enter with k = dim, i.e. a unitary rotation).  As
+    steps, a member draws nothing after its request, so the members draw in
+    turn and request in one round."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
     weights = rng.dirichlet(np.ones(n))
-    members = []
-    for i in range(n):
-        choice = int(rng.integers(0, len(_FAMILY_BASE_KINDS) + 1))
-        if choice == len(_FAMILY_BASE_KINDS):
-            base = CompressionMap(random_isometry(dim, dim, rng))
-        else:
-            base = sample_map(_FAMILY_BASE_KINDS[choice], dim, rng)
-        members.append(ScaledMap(float(weights[i]), base))
-    return MapFamily(maps=tuple(members))
+    bases = yield from gather([_family_member_steps(dim, rng) for _ in range(n)])
+    return MapFamily(maps=tuple(ScaledMap(float(w), base) for w, base in zip(weights, bases)))
+
+
+def _family_member_steps(dim: int, rng: np.random.Generator):
+    choice = int(rng.integers(0, len(_FAMILY_BASE_KINDS) + 1))
+    if choice == len(_FAMILY_BASE_KINDS):
+        return CompressionMap(random_isometry(dim, dim, rng))
+    return (yield from sample_map.steps(_FAMILY_BASE_KINDS[choice], dim, rng))
 
 
 def check_map_spec(spec: str) -> None:

@@ -11,11 +11,14 @@ window of 2 instances:
 How a campaign schedules its sampling, validation, chain builds and
 eigensolves, within a cell or across cells, on the calling thread or in
 worker processes, may change; its report bytes may not.  A pool that cannot
-start or loses a worker raises, and leaves no process behind.
+start or loses a worker raises, and leaves no process behind.  On the
+benchmark's campaign-deep and campaign-wide configs, at least nine in ten
+Jacobi runs must be members of a stack.
 """
 
 import errno
 import hashlib
+import json
 import multiprocessing
 import os
 import sys
@@ -24,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from loewner_lab import campaign, chains
+from loewner_lab import __version__, campaign, chains, hermitian
 from loewner_lab.campaign import CampaignConfig, run_campaign
 from loewner_lab.chains import resolve_theorem, sample_instance_for, window_outcomes
 from loewner_lab.cli import main
@@ -234,7 +237,8 @@ def test_error_in_one_instance_keeps_serial_fold(module, target, config, monkeyp
     # a digest in its cell's ``failing``; the second instance drawn raises
     # instead.
     cfg = CampaignConfig.from_dict(dict(config, tol=1e-30))
-    original = getattr(module, target)
+    stage = getattr(module, target)
+    original = stage.steps
     calls = []
 
     def second_call_raises(*args, **kwargs):
@@ -243,7 +247,7 @@ def test_error_in_one_instance_keeps_serial_fold(module, target, config, monkeyp
             raise HypothesisViolation("injected", "second instance")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, target, second_call_raises)
+    monkeypatch.setattr(stage, "steps", second_call_raises)
     cells = run_campaign(cfg).cells
     per_cell = cfg.instances_per_cell
     expected = [[_digest_of(cfg, c, i) for i in range(per_cell)] for c in range(len(cfg.dims))]
@@ -261,17 +265,75 @@ def test_error_in_one_instance_folds_the_same_at_jobs_2(module, target, dim_of, 
     # The injection is keyed by the drawn instance, not by a call count, so
     # it raises in whichever process draws the dim-3 cell's instance.
     cfg = CampaignConfig.from_dict(dict(FOUR_CELLS, tol=1e-30))
-    original = getattr(module, target)
+    stage = getattr(module, target)
+    original = stage.steps
 
     def dim_3_raises(*args, **kwargs):
         if dim_of(args) == 3:
             raise HypothesisViolation("injected", "dim 3")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, target, dim_3_raises)
+    monkeypatch.setattr(stage, "steps", dim_3_raises)
     expected = [[_digest_of(cfg, c, 0)] for c in range(len(cfg.dims))]
     expected[1] = ["error:HypothesisViolation:injected: dim 3"]
     for jobs in (1, 2):
         cells = _guarded(lambda: run_campaign(cfg, jobs=jobs).cells)
         assert [(cell.pass_count, cell.fail_count) for cell in cells] == [(0, 1)] * len(cells)
         assert [list(cell.failing) for cell in cells] == expected
+
+
+# The campaign-deep and campaign-wide configs of the benchmark's input set 3
+# (perfbench/workloads.py), whose report digests perfbench/digests.json pins.
+_BENCH_RANGES = [[-1.0, 1.0], [0.5, 2.5]]
+BENCH_DEEP = [{
+    "theorem_ids": ["LC-QUAD", "LC-MAP-V2", "LC-MULTI"], "function_specs": ["exp"],
+    "map_specs": ["mixed", "family:n=3"], "dims": [8, 16], "mm_ranges": _BENCH_RANGES[::-1],
+    "instances_per_cell": 4, "tol": 1e-9, "seed": 3,
+}]
+BENCH_WIDE = [{
+    "theorem_ids": ["JM-BASE", "MOS-BASE", "LC-QUAD", "LC-POW", "LC-MID", "LC-MAP", "LC-MAP-V2",
+                    "LC-MAP-V3", "LC-MULTI", "LC-MERCER", "SQ-MAP", "SQ-POW", "SQ-MAP-V2",
+                    "SQ-MAP-V3", "SQ-MULTI-A", "SQ-MULTI-B", "SQ-MERCER", "SQ-QUAD", "SQ-MID"],
+    "function_specs": ["exp", "pow:p=-1", "pow:p=2", "pow:p=2.5"],
+    "map_specs": ["identity", "pinching", "compression", "mixed", "family:n=3"], "dims": [2, 4],
+    "mm_ranges": _BENCH_RANGES, "instances_per_cell": 1, "tol": 1e-9, "seed": 3,
+}, {
+    "theorem_ids": ["JM-BASE", "MOS-BASE", "LC-QUAD", "LC-MID", "LC-MAP", "LC-MAP-V2",
+                    "LC-MAP-V3", "LC-MULTI", "LC-MERCER"],
+    "function_specs": ["exp"], "map_specs": ["pinching", "family:n=3"], "dims": [12],
+    "mm_ranges": _BENCH_RANGES, "instances_per_cell": 1, "tol": 1e-9, "seed": 3,
+}]
+
+
+@pytest.mark.parametrize("workload, configs", [("campaign-deep", BENCH_DEEP),
+                                               ("campaign-wide", BENCH_WIDE)])
+def test_nine_in_ten_jacobi_runs_are_stacked(workload, configs, monkeypatch):
+    # A member run is one matrix through either kernel; the stacked kernel
+    # hands zero-norm and 1x1 members to the serial one, inside the stack.
+    serial, many = hermitian._jacobi, hermitian._jacobi_many
+    runs = {"serial": 0, "stacked": 0}
+    inside = []
+
+    def counted_serial(matrix, want_vectors):
+        runs["serial"] += not inside
+        return serial(matrix, want_vectors)
+
+    def counted_many(stack, want_vectors):
+        runs["stacked"] += len(stack)
+        inside.append(None)
+        try:
+            return many(stack, want_vectors)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hermitian, "_jacobi", counted_serial)
+    monkeypatch.setattr(hermitian, "_jacobi_many", counted_many)
+    digest = hashlib.sha256()
+    for config in configs:
+        report = run_campaign(CampaignConfig.from_dict(config))
+        text = dumps_canonical(report.to_dict()) + "\n"
+        digest.update(hashlib.sha256(text.encode()).digest())
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "digests.json"), encoding="utf-8") as fh:
+        assert digest.hexdigest() == json.load(fh)[__version__][workload][3]
+    assert runs["stacked"] >= 0.9 * (runs["stacked"] + runs["serial"]), runs

@@ -13,6 +13,7 @@ import pytest
 import scalar_oracle as oracle
 import loewner_lab.chains as chains
 import loewner_lab.hermitian as herm
+import loewner_lab.instances as instances
 from loewner_lab.errors import (
     ConfigError,
     HypothesisViolation,
@@ -43,6 +44,8 @@ from loewner_lab.functions import (
 from loewner_lab.hermitian import (
     HermitianMatrix,
     apply_scalar_function,
+    drive,
+    gather,
     loewner_leq,
 )
 from loewner_lab.instances import (
@@ -552,3 +555,94 @@ def test_sq_mercer_baseline_is_jm_base():
     assert sq.labels == jm.labels
     for a, b in zip(sq.terms, jm.terms):
         assert np.array_equal(a.entries, b.entries)
+
+
+# -- windows: stages as decomposition steps, run in rounds --------------------
+
+# (theorem, function, dim, map, stream key).  Under the budgets the window
+# test sets, the first SQ-MAP quadruple is rejected three times before it is
+# drawn, the second exhausts its retries, and the dim-3 LC-QUAD instance does
+# not converge: two Jacobi sweeps finish a 2x2 matrix but not a 3x3 one.
+MIXED_WINDOW = [
+    ("SQ-MAP", "pow:p=2", 2, "mixed", 7),
+    ("LC-QUAD", "exp", 2, None, 1),
+    ("SQ-MAP", "pow:p=2", 2, "mixed", 92),
+    ("LC-MULTI", "exp", 2, None, 2),
+    ("LC-QUAD", "exp", 3, None, 3),
+    ("LC-MAP-V2", "exp", 2, "mixed", 4),
+    ("SQ-MULTI-A", "pow:p=2", 2, None, 5),
+    ("LC-MERCER", "exp", 2, None, 6),
+    ("LC-MID", "exp", 1, None, 8),
+    ("SQ-QUAD", "pow:p=2", 2, None, 9),
+]
+
+
+def _window_draw(tid, f_spec, dim, map_spec, key):
+    spec, f = THEOREMS[tid], parse_function_spec(f_spec)
+
+    def draw():
+        rng = spawn_rng(71, key)
+        inst = yield from sample_instance_for.steps(spec, f, dim, 0.5, 2.0, rng)
+        maps = (yield from sample_map.steps(map_spec, dim, rng)) if map_spec else None
+        return chains.Drawn(spec, f, inst, maps)
+
+    return draw
+
+
+def _one_at_a_time(tid, f_spec, dim, map_spec, key):
+    spec, f = THEOREMS[tid], parse_function_spec(f_spec)
+    rng = spawn_rng(71, key)
+    try:
+        inst = sample_instance_for(spec, f, dim, 0.5, 2.0, rng)
+        maps = sample_map(map_spec, dim, rng) if map_spec else None
+        return evaluate_chain(build_chain(tid, inst, f, maps, tol=1e-9), 1e-9, seed=71)
+    except LoewnerLabError as exc:
+        return exc
+
+
+def _summary(outcome):
+    if isinstance(outcome, LoewnerLabError):
+        return type(outcome).__name__, str(outcome)
+    return outcome.to_dict(), outcome.instance.to_dict()
+
+
+def test_a_mixed_window_gives_the_outcomes_of_one_instance_at_a_time(monkeypatch):
+    monkeypatch.setattr(instances, "MAX_RETRIES", 3)
+    with pytest.raises(instances.ExhaustedRetries):  # the first quadruple takes four attempts
+        sample_instance_for(THEOREMS["SQ-MAP"], power_function(2), 2, 0.5, 2.0, spawn_rng(71, 7))
+    monkeypatch.setattr(instances, "MAX_RETRIES", 4)
+    monkeypatch.setattr(herm, "JACOBI_SWEEP_BUDGET", 2)
+    expected = [_summary(_one_at_a_time(*case)) for case in MIXED_WINDOW]
+    window = chains.window_outcomes([_window_draw(*case) for case in MIXED_WINDOW], 1e-9,
+                                    seed=71)
+    assert [_summary(outcome) for outcome in window] == expected
+    errors = [kind for kind, _ in expected if isinstance(kind, str)]
+    assert errors == ["ExhaustedRetries", "NonConvergence"]
+
+
+def test_one_shot_stages_give_the_bytes_drawn_side_by_side():
+    # Eight quadruples over the three relations, half with A >= 0, eight
+    # mixed maps, and the LC-MAP-V2 chains of the equal-sum quadruples.
+    relations = list(SumRelation)
+
+    def quadruple(k, sampler):
+        return sampler(4, 0.5, 2.0, relations[k % 3], k % 2 == 0, spawn_rng(72, k))
+
+    keys = range(8)
+    alone = [quadruple(k, sample_quadruple) for k in keys]
+    side_by_side = drive(gather([quadruple(k, sample_quadruple.steps) for k in keys]))
+    assert [q.to_dict() for q in side_by_side] == [q.to_dict() for q in alone]
+
+    maps = [sample_map("mixed:count=3", 4, spawn_rng(73, k)) for k in keys]
+    drawn = drive(gather([sample_map.steps("mixed:count=3", 4, spawn_rng(73, k)) for k in keys]))
+    for phi, ref in zip(drawn, maps):
+        assert phi.weights.tobytes() == ref.weights.tobytes()
+        assert [u.tobytes() for u in phi.unitaries] == [u.tobytes() for u in ref.unitaries]
+
+    f = exp_function()
+    equal = [(q, phi) for q, phi in zip(alone, maps) if q.relation is SumRelation.EQUAL]
+    built = drive(gather([build_chain.steps("LC-MAP-V2", q, f, phi) for q, phi in equal]))
+    for chain, (q, phi) in zip(built, equal):
+        ref = build_chain("LC-MAP-V2", q, f, phi)
+        assert [t.entries.tobytes() for t in chain.terms] == [t.entries.tobytes()
+                                                               for t in ref.terms]

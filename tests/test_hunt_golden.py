@@ -43,9 +43,11 @@ def _map_hunt(budget: int):
 
 
 def _raise_at(monkeypatch, target: str, attempt: int) -> None:
-    """Make the call of ``chains.<target>`` for one attempt raise.  Both
-    targets are called once per attempt, in attempt order."""
-    original = getattr(chains, target)
+    """Make the call of ``chains.<target>``'s steps for one attempt raise.
+    Both targets are called once per attempt, in attempt order: this hunt's
+    attempts take the same rounds to reach each of them."""
+    stage = getattr(chains, target)
+    original = stage.steps
     calls = []
 
     def raising(*args, **kwargs):
@@ -54,7 +56,7 @@ def _raise_at(monkeypatch, target: str, attempt: int) -> None:
             raise HypothesisViolation("injected", f"attempt {attempt}")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(chains, target, raising)
+    monkeypatch.setattr(stage, "steps", raising)
 
 
 def test_first_failure_is_found_at_its_attempt():
@@ -84,14 +86,14 @@ def test_budget_cuts_the_last_attempts(monkeypatch):
     assert _map_hunt(FIRST_FAIL) is None
     assert _map_hunt(FIRST_FAIL + 1).attempt_index == FIRST_FAIL
 
-    original = chains.sample_instance_for
+    original = chains.sample_instance_for.steps
     drawn = []
 
     def counting(*args, **kwargs):
         drawn.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(chains, "sample_instance_for", counting)
+    monkeypatch.setattr(chains.sample_instance_for, "steps", counting)
     assert hunt_counterexample("lc-quad", None, 37, 8, exp_function()) is None
     assert len(drawn) == 37
 
@@ -99,14 +101,14 @@ def test_budget_cuts_the_last_attempts(monkeypatch):
 def test_a_hunt_that_fails_at_once_builds_one_chain(monkeypatch):
     # Windows grow from one attempt, so a first attempt that fails is the
     # only one drawn, built and evaluated.
-    original = chains.build_chain
+    original = chains.build_chain.steps
     built = []
 
     def counting(*args, **kwargs):
         built.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(chains, "build_chain", counting)
+    monkeypatch.setattr(chains.build_chain, "steps", counting)
     result = hunt_counterexample("lc-quad", "cond-i-f", 2000, 7, parse_function_spec("pow:p=-1"))
     assert result.attempt_index == 0
     assert len(built) == 1
