@@ -832,8 +832,8 @@ class Drawn(NamedTuple):
     maps: object
 
 
-# A window runs at most this many instances together: enough for its
-# same-dimension stacks to reach BATCH_MIN, few enough to bound what it holds.
+# A window runs at most this many instances together: enough for each round to
+# stack several matrices of a dimension, few enough to bound what it holds.
 WINDOW = 16
 
 
@@ -857,8 +857,8 @@ def window_outcomes(draws, tol: float, *, seed: int | None, relaxed: str | None 
     by side in rounds (``hermitian.gather``), and decomposes what each round
     requests as same-dimension stacks.  Each instance draws from its own
     stream, values depend neither on the rounds nor on which instances share
-    a stack, and ``eigendecompose_many`` leaves what it cannot finish to the
-    serial path, so outcomes and errors are those of one instance at a time.
+    a stack, and a matrix ``eigendecompose_many`` cannot finish raises when
+    it is read, so outcomes and errors are those of one instance at a time.
     """
     return drive(gather([_outcome_steps(draw, tol, seed, relaxed) for draw in draws]))
 

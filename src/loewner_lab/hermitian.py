@@ -14,13 +14,12 @@ Self-contained and highly accurate at the dimensions this package targets
 operation for operation, because every pinned report digest depends on the
 last bits of the spectra.
 
-``eigendecompose_many`` fills the caches of many matrices at once.  It groups
-them by dimension and runs each group of at least ``BATCH_MIN`` through
-``_jacobi_many``, which rotates a whole stack in the same cyclic order, one
-vectorized update per (p, q) pair, and yields for every member the bytes
-``_jacobi`` yields for it.  Below ``BATCH_MIN`` a stack's numpy calls per
-rotation cost more than the serial calls they replace, so smaller groups
-are left to the serial kernel, run when a matrix is first read.
+The one rotation loop, ``_jacobi_many``, rotates a stack of same-dimension
+matrices in cyclic order, one vectorized update per (p, q) pair, and yields
+for every member the bytes it would yield for that member alone.
+``eigendecompose_many`` fills the caches of many matrices at once, one stack
+per dimension; a matrix read before it was requested is decomposed alone,
+as a stack of one.
 
 A stage that reads spectra is written as decomposition steps, a generator
 that yields the matrices it is about to read and returns its result.
@@ -47,14 +46,9 @@ HERMITIAN_ASYM_TOL = 1e-12
 # Jacobi convergence: off-diagonal Frobenius norm <= JACOBI_CONV_TOL * ||A||_F.
 JACOBI_CONV_TOL = 1e-13
 JACOBI_SWEEP_BUDGET = 64
-# eigendecompose_many leaves a same-dimension group smaller than this to the
-# serial kernel: below it the batched kernel's numpy calls per rotation cost
-# more than the serial calls they replace (break-even measured at 4 to 6
-# members across dims 2 to 16).
-BATCH_MIN = 6
-# ... and splits a larger group into near-equal stacks of at most BATCH_MAX,
-# which bounds the kernel's working array (8 KB per member at dim 16) and so
-# the process's peak memory, at little cost in speed.
+# eigendecompose_many splits a same-dimension group into near-equal stacks of
+# at most BATCH_MAX, which bounds the kernel's working array (8 KB per member
+# at dim 16) and so the process's peak memory, at little cost in speed.
 BATCH_MAX = 32
 # Eigenvalues within DOMAIN_CLAMP_TOL * ||A||_F of a closed domain boundary are
 # clamped onto it before a scalar function is applied.
@@ -237,117 +231,51 @@ class LoewnerVerdict:
 
 
 def _jacobi(matrix: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi sweeps on a complex Hermitian matrix.
-
-    Returns (eigenvalues ascending, vectors or None).  Raises NonConvergence
-    if the off-diagonal mass has not collapsed within the sweep budget.
-
-    A and, when wanted, V are stacked as ``[A; V]`` in one column-major
-    array, so one update of a contiguous column rotates both.  Every update
-    is a 1-D numpy operation: 2-D broadcast forms select other complex loops
-    and change the last bits, and every pinned report depends on these bits.
-    A is never updated from V, so the eigenvalues do not depend on
-    ``want_vectors``.
-    """
-    a = np.asarray(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    if n == 1 or scale == 0.0:
-        lam = np.sort(np.diag(a).real.copy()) if n > 1 else np.array([a[0, 0].real])
-        return lam, np.eye(n, dtype=np.complex128) if want_vectors else None
-    threshold = JACOBI_CONV_TOL * scale
-    # Elements this small cannot push the off-norm back above threshold.
-    skip = threshold / (2.0 * n)
-    stacked = np.zeros((2 * n if want_vectors else n, n), dtype=np.complex128, order="F")
-    stacked[:n] = a
-    if want_vectors:
-        stacked[n:] = np.eye(n)
-    a = stacked[:n]
-    a_imag = a.imag
-    cols = list(stacked.T)
-    rows = list(a)
-    # The rotation's c, s e^{i phi} and its conjugate, held in 0-d complex
-    # arrays: numpy would convert the scalars to these same operands on
-    # every call, so the products are unchanged and each call is cheaper.
-    cos_, sin_, sin_conj = (np.zeros((), dtype=np.complex128) for _ in range(3))
-
-    for _ in range(JACOBI_SWEEP_BUDGET):
-        off = _off_norm(a)
-        if off <= threshold:
-            lam = np.diag(a).real.copy()
-            order = np.argsort(lam, kind="stable")
-            lam = lam[order]
-            v = np.ascontiguousarray(stacked[n:, order]) if want_vectors else None
-            return lam, v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                beta = abs(apq)
-                if beta <= skip:
-                    continue
-                phase = apq / beta
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * beta)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                s_ph = s * phase
-                cos_[()] = c
-                sin_[()] = s_ph
-                sin_conj[()] = np.conj(s_ph)
-                # [A; V] <- [A; V] U with U acting on columns (p, q).
-                col_p, col_q = cols[p], cols[q]
-                new_p = cos_ * col_p - sin_conj * col_q
-                new_q = sin_ * col_p + cos_ * col_q
-                col_p[...] = new_p
-                col_q[...] = new_q
-                # A <- U* A.
-                row_p, row_q = rows[p], rows[q]
-                new_p = cos_ * row_p - sin_ * row_q
-                new_q = sin_conj * row_p + cos_ * row_q
-                row_p[...] = new_p
-                row_q[...] = new_q
-                # Numerical hygiene: the rotation zeroes (p, q) exactly and
-                # leaves a real diagonal.
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a_imag[p, p] = 0.0
-                a_imag[q, q] = 0.0
-    raise NonConvergence(
-        f"Jacobi sweeps exhausted ({JACOBI_SWEEP_BUDGET}) at dim {n}; "
-        f"off-diagonal norm still above {threshold:.3e}"
-    )
+    """``_jacobi_many`` on a stack of one: (eigenvalues ascending, vectors or
+    None).  Raises NonConvergence if the off-diagonal mass has not collapsed
+    within the sweep budget."""
+    (result,) = _jacobi_many([matrix], want_vectors)
+    if result is None:
+        a = np.asarray(matrix, dtype=np.complex128)
+        raise NonConvergence(
+            f"Jacobi sweeps exhausted ({JACOBI_SWEEP_BUDGET}) at dim {a.shape[0]}; "
+            f"off-diagonal norm still above {JACOBI_CONV_TOL * float(np.linalg.norm(a)):.3e}"
+        )
+    return result
 
 
 def _jacobi_many(stack, want_vectors: bool) -> list:
-    """``_jacobi`` on a stack of same-dimension Hermitian matrices at once.
+    """Cyclic Jacobi sweeps on a stack of same-dimension complex Hermitian
+    matrices at once, the only rotation loop of this module.
 
     ``stack`` is a sequence of square arrays of one dimension.  Returns one
-    ``(eigenvalues, vectors or None)`` per member, the bytes ``_jacobi``
-    returns for it, or None for a member that has not converged within the
-    sweep budget; it never raises.  Members rotate in the kernel's cyclic
-    p < q order, one vectorized update per pair; each keeps its own
-    threshold and skip, a member whose (p, q) entry is not above its skip
-    sits that rotation out, and a converged member leaves the stack at the
-    sweep where ``_jacobi`` would return.  Zero-norm and 1x1 members take
-    ``_jacobi`` itself.
+    ``(eigenvalues ascending, vectors or None)`` per member, or None for a
+    member that has not converged within the sweep budget; it never raises.
+    Each member's bytes are those of the reference loop in
+    ``tests/jacobi_reference.py``, whichever members share its stack.
+    Members rotate in cyclic p < q order, one vectorized update per pair;
+    each keeps its own threshold and skip, a member whose (p, q) entry is
+    not above its skip sits that rotation out, and a converged member leaves
+    the stack at the first sweep that finds its off-diagonal norm below its
+    threshold.  A zero-norm or 1x1 member is its own diagonal.
 
     Member m holds the columns of its ``[A; V]`` as rows ``work[m, j]``, so
-    a column update is contiguous and a row update of A strided, as in
-    ``_jacobi``.  Two operations would change the last bits if vectorized
-    naively: ``np.abs`` of a complex array (``np.hypot`` of its parts
-    matches the scalar ``abs``), and complex-by-float division (dividing by
-    ``beta + 0j`` matches the scalar ``apq / beta``).
+    a column update is contiguous and a row update of A strided.  Two
+    operations would change the last bits if vectorized naively: ``np.abs``
+    of a complex array (``np.hypot`` of its parts matches the scalar
+    ``abs``), and complex-by-float division (dividing by ``beta + 0j``
+    matches the scalar ``apq / beta``).  A is never updated from V, so the
+    eigenvalues do not depend on ``want_vectors``.
     """
     out = [None] * len(stack)
     scales, live = [], []
     for i, a in enumerate(stack):
         a = np.asarray(a, dtype=np.complex128)
         scale = float(np.linalg.norm(a))
-        if a.shape[0] == 1 or scale == 0.0:
-            out[i] = _jacobi(a, want_vectors)
+        n = a.shape[0]
+        if n == 1 or scale == 0.0:
+            lam = np.sort(np.diag(a).real.copy()) if n > 1 else np.array([a[0, 0].real])
+            out[i] = lam, np.eye(n, dtype=np.complex128) if want_vectors else None
         else:
             scales.append(scale)
             live.append((i, a))
@@ -384,8 +312,8 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
             for q in range(p + 1, n):
                 apq = work[:, q, p]
                 beta = np.hypot(apq.real, apq.imag)
-                # A NaN entry would rotate in _jacobi and not here, but it
-                # makes the member's threshold NaN: it converges in neither.
+                # A NaN entry makes its member's threshold NaN, so that
+                # member never converges, whether it rotates or not.
                 busy = beta > skip
                 count = np.count_nonzero(busy)
                 if not count:
@@ -416,7 +344,8 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
                 new_q = sin_conj * row_p + cos_ * row_q
                 work[sel, :, p] = new_p
                 work[sel, :, q] = new_q
-                # Numerical hygiene, as in _jacobi.
+                # Numerical hygiene: the rotation zeroes (p, q) exactly and
+                # leaves a real diagonal.
                 work[sel, q, p] = 0.0
                 work[sel, p, q] = 0.0
                 work_imag[sel, p, p] = 0.0
@@ -450,20 +379,16 @@ def eigendecompose_many(matrices) -> None:
     """Fill the cached decomposition of every matrix not yet decomposed,
     with the bytes ``eigendecompose`` would cache.
 
-    Matrices are grouped by dimension, and each group of at least
-    ``BATCH_MIN`` runs through the batched kernel, in near-equal stacks of
-    at most ``BATCH_MAX``.  Never raises: a matrix
-    in a smaller group, or one that has not converged, is left for
-    ``eigendecompose``, which runs the serial kernel, and raises its
-    ``NonConvergence``, when the matrix is first read.
+    Matrices are grouped by dimension, and each group runs through the
+    kernel in near-equal stacks of at most ``BATCH_MAX``.  Never raises: a
+    matrix that has not converged is left for ``eigendecompose``, which
+    raises its ``NonConvergence`` when the matrix is first read.
     """
     groups: dict[int, dict] = {}
     for matrix in matrices:
         if matrix._eig is None:
             groups.setdefault(matrix.dim, {})[id(matrix)] = matrix
     for group in groups.values():
-        if len(group) < BATCH_MIN:
-            continue
         members = list(group.values())
         parts = -(-len(members) // BATCH_MAX)
         for j in range(parts):
@@ -504,29 +429,24 @@ def gather(steps):
     """Steps that run ``steps`` side by side and return their results in
     order; an error raised in one of them is raised from here.
 
-    Each round advances every step that is not waiting, in order, to its
-    next request, and yields every pending request together.  A step whose
-    request comes back partly undecomposed (left in a same-dimension group
-    below ``BATCH_MIN``) waits, so that steps behind it can join that group.
-    When no request came back whole, the step with the fewest matrices left
-    resumes and reads them through the serial kernel.  Steps that draw from
-    one stream must draw nothing after their first request.
+    Each round advances every unfinished step, in order, to its next request,
+    and yields the requests of the round together.  Steps that draw from one
+    stream must draw nothing after their first request.
     """
     results = [None] * len(steps)
-    waiting, ready = {}, range(len(steps))
-    while True:
-        for i in ready:
+    live = range(len(steps))
+    while live:
+        requests, running = [], []
+        for i in live:
             try:
-                waiting[i] = tuple(next(steps[i]))
+                requests.extend(next(steps[i]))
+                running.append(i)
             except StopIteration as stop:
                 results[i] = stop.value
-        if not waiting:
-            return results
-        yield [mat for request in waiting.values() for mat in request]
-        left = {i: sum(mat._eig is None for mat in request) for i, request in waiting.items()}
-        ready = sorted(i for i, n in left.items() if not n) or [min(left, key=left.get)]
-        for i in ready:
-            del waiting[i]
+        if running:
+            yield requests
+        live = running
+    return results
 
 
 def eigenvalues_of(matrix: HermitianMatrix) -> np.ndarray:

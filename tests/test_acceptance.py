@@ -31,7 +31,8 @@ from loewner_lab.functions import (
     parse_function_spec,
     power_function,
 )
-from loewner_lab.hermitian import HermitianMatrix, drive, eigendecompose, gather, loewner_leq
+from loewner_lab.hermitian import (HermitianMatrix, drive, eigendecompose, eigendecompose_many,
+                                   gather, loewner_leq)
 from loewner_lab.instances import (
     QuadrupleInstance,
     SumRelation,
@@ -44,6 +45,9 @@ from loewner_lab.serialize import dumps_canonical
 
 TOL_CHAIN = 1e-8
 MAP_KINDS = ("identity", "pinching", "compression", "mixed")
+# Instances checked side by side in one window, so that every round's
+# requests make same-dimension stacks of several matrices each.
+WINDOW = 64
 
 
 def announce(num, ok, detail):
@@ -68,25 +72,39 @@ def _draw_mm(rng, lo, hi):
 
 
 def _run_block(theorems, fn_cycle, dims, count, seed_base, family_size=3):
-    """Shared workload for criteria 2-4; returns runs and per-theorem time."""
+    """Shared workload for criteria 2-4; returns runs and per-theorem time.
+
+    A theorem's instances run side by side in windows of ``WINDOW``, so
+    their spectra are decomposed in stacks; each draws from its own stream,
+    so the runs are those of one instance at a time."""
     runs = []
     timing = {}
     for t_idx, tid in enumerate(theorems):
         spec = THEOREMS[tid]
-        start = time.perf_counter()
-        for i in range(count):
+
+        def run_steps(i):
             f, (lo, hi) = fn_cycle[i % len(fn_cycle)]
             rng = spawn_rng(seed_base + t_idx, i)
             dim = dims[i % len(dims)]
             m, big_m = _draw_mm(rng, lo, hi)
-            inst = sample_instance_for(spec, f, dim, m, big_m, rng,
-                                       family_size=family_size)
-            maps = (sample_map(MAP_KINDS[i % 4], dim, rng)
+            inst = yield from sample_instance_for.steps(spec, f, dim, m, big_m, rng,
+                                                        family_size=family_size)
+            maps = ((yield from sample_map.steps(MAP_KINDS[i % 4], dim, rng))
                     if spec.map_mode == "single" else None)
-            chain = build_chain(tid, inst, f, maps, tol=TOL_CHAIN)
-            report = evaluate_chain(chain, TOL_CHAIN)
-            runs.append(Run(tid, inst, f, maps, chain, report))
+            chain = yield from build_chain.steps(tid, inst, f, maps, tol=TOL_CHAIN)
+            report = yield from evaluate_chain.steps(chain, TOL_CHAIN)
+            return Run(tid, inst, f, maps, chain, report)
+
+        start = time.perf_counter()
+        for first in range(0, count, WINDOW):
+            steps = [run_steps(i) for i in range(first, min(first + WINDOW, count))]
+            runs.extend(drive(gather(steps)))
         timing[tid] = time.perf_counter() - start
+        # Every 50th instance again through the one-instance calls.
+        for run in runs[-count::50]:
+            alone = evaluate_chain(build_chain(tid, run.inst, run.f, run.maps, tol=TOL_CHAIN),
+                                   TOL_CHAIN)
+            assert alone.to_dict() == run.report.to_dict()
     return runs, timing
 
 
@@ -295,39 +313,37 @@ def test_criterion_5_equality_regressions():
 # -- criterion 6: refinement implication ----------------------------------------
 
 
-def _check_refinement(run) -> list:
-    problems = []
-    base = baseline_chain(run.theorem, run.inst, run.f, run.maps, tol=TOL_CHAIN)
-    if not evaluate_chain(base, TOL_CHAIN).passed:
-        problems.append((run.theorem, "baseline fails", base.instance_digest))
+def _refinement_steps(run):
+    """Steps to the refinement problems of one stashed run: the baseline is
+    built and evaluated, then every sandwich difference is requested in one
+    round, so a window of runs decomposes them as stacks."""
+    base = yield from baseline_chain.steps(run.theorem, run.inst, run.f, run.maps, tol=TOL_CHAIN)
+    base_passed = (yield from evaluate_chain.steps(base, TOL_CHAIN)).passed
     lo, hi = base.terms[0], base.terms[-1]
     if len(run.chain.terms) > 2:
-        for middle in run.chain.terms[1:-1]:
-            if not loewner_leq(lo, middle, TOL_CHAIN).is_leq:
-                problems.append((run.theorem, "middle below baseline LHS",
-                                 base.instance_digest))
-            if not loewner_leq(middle, hi, TOL_CHAIN).is_leq:
-                problems.append((run.theorem, "middle above baseline RHS",
-                                 base.instance_digest))
+        checks = [check for middle in run.chain.terms[1:-1]
+                  for check in ((lo, middle, "middle below baseline LHS"),
+                                (middle, hi, "middle above baseline RHS"))]
     else:
-        if not loewner_leq(lo, run.chain.terms[0], TOL_CHAIN).is_leq:
-            problems.append((run.theorem, "refined LHS below baseline LHS",
-                             base.instance_digest))
-        if not loewner_leq(run.chain.terms[-1], hi, TOL_CHAIN).is_leq:
-            problems.append((run.theorem, "refined RHS above baseline RHS",
-                             base.instance_digest))
+        checks = [(lo, run.chain.terms[0], "refined LHS below baseline LHS"),
+                  (run.chain.terms[-1], hi, "refined RHS above baseline RHS")]
+    diffs = [upper - lower for lower, upper, _ in checks]
+    yield diffs
+    problems = [] if base_passed else [(run.theorem, "baseline fails", base.instance_digest)]
+    problems += [(run.theorem, message, base.instance_digest)
+                 for (lower, upper, message), diff in zip(checks, diffs)
+                 if not loewner_leq(lower, upper, TOL_CHAIN, diff=diff).is_leq]
     return problems
 
 
 def test_criterion_6_refinement_implication(lc_block, family_block, sq_block):
+    runs = [run for block, _ in (lc_block, family_block, sq_block) for run in block]
     problems = []
-    total = 0
-    for runs, _ in (lc_block, family_block, sq_block):
-        for run in runs:
-            problems.extend(_check_refinement(run))
-            total += 1
+    for start in range(0, len(runs), WINDOW):
+        window = drive(gather([_refinement_steps(run) for run in runs[start:start + WINDOW]]))
+        problems.extend(found for run_problems in window for found in run_problems)
     ok = not problems
-    announce(6, ok, f"baseline and sandwich checks on {total} stashed instances "
+    announce(6, ok, f"baseline and sandwich checks on {len(runs)} stashed instances "
                     f"({len(problems)} problems)")
     assert not problems, problems[:5]
 
@@ -359,13 +375,17 @@ def test_criterion_7_hunt_necessity():
 
 
 def test_criterion_8_infrastructure():
-    # eigensolver reconstruction on 1000 random matrices, dims up to 16
+    # eigensolver reconstruction on 1000 random matrices, dims up to 16,
+    # decomposed as stacks
     rng = np.random.default_rng(800)
-    worst_resid = 0.0
+    matrices = []
     for i in range(1000):
         dim = 1 + i % 16
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a = HermitianMatrix(g)
+        matrices.append(HermitianMatrix(rng.normal(size=(dim, dim))
+                                        + 1j * rng.normal(size=(dim, dim))))
+    eigendecompose_many(matrices)
+    worst_resid = 0.0
+    for a in matrices:
         dec = eigendecompose(a)
         resid = float(np.linalg.norm(dec.reconstruct() - a.entries))
         worst_resid = max(worst_resid, resid / max(1e-300, a.fro_norm))
@@ -380,7 +400,7 @@ def test_criterion_8_infrastructure():
                     maps_ok = False
 
     # 10000 sampled instances all validate at 1e-10, sampled and validated
-    # side by side in windows of 16, so their spectra are decomposed in stacks
+    # side by side in windows, so their spectra are decomposed in stacks
     def sampled_violations(i):
         dim = 1 + i % 8
         relation = list(SumRelation)[i % 3]
@@ -389,9 +409,9 @@ def test_criterion_8_infrastructure():
         return (yield from validate_instance.steps(inst, 1e-10))
 
     bad_instances = 0
-    for start in range(0, 10_000, 16):
-        window = drive(gather([sampled_violations(i) for i in range(start, start + 16)]))
-        bad_instances += sum(1 for violations in window if violations)
+    for start in range(0, 10_000, WINDOW):
+        steps = [sampled_violations(i) for i in range(start, min(start + WINDOW, 10_000))]
+        bad_instances += sum(1 for violations in drive(gather(steps)) if violations)
     inst_ok = bad_instances == 0
 
     # campaign determinism across repeated runs and parallelism 1 vs 8

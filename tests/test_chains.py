@@ -456,13 +456,13 @@ def test_build_decomposes_no_operand_twice(tid, f_spec, monkeypatch):
     spec, f = THEOREMS[tid], parse_function_spec(f_spec)
     inst = sample_instance_for(spec, f, 4, 0.5, 2.0, spawn_rng(61, 2))
     operands = []
-    kernel = herm._jacobi
+    kernel = herm._jacobi_many
 
-    def counting(matrix, want_vectors):
-        operands.append(matrix.tobytes())
-        return kernel(matrix, want_vectors)
+    def counting(stack, want_vectors):
+        operands.extend(matrix.tobytes() for matrix in stack)
+        return kernel(stack, want_vectors)
 
-    monkeypatch.setattr(herm, "_jacobi", counting)
+    monkeypatch.setattr(herm, "_jacobi_many", counting)
     build_chain(tid, inst, f)
     assert operands and len(operands) == len(set(operands))
 

@@ -1,9 +1,9 @@
 """The Jacobi kernels against the reference loop, bit for bit.
 
 Every pinned report digest depends on the last bits of the spectra, so the
-runtime kernel, and the batched kernel on every member of a stack, must
-return the same bytes as the reference loop in ``jacobi_reference`` for
-eigenvalues and eigenvectors alike.
+kernel, alone (``_jacobi``, a stack of one) and on every member of a stack
+(``_jacobi_many``), must return the same bytes as the reference loop in
+``jacobi_reference`` for eigenvalues and eigenvectors alike.
 """
 
 import numpy as np
@@ -78,7 +78,7 @@ def test_eigenvalues_then_vectors_run_jacobi_once(monkeypatch):
 def _mixed_stack(dim: int) -> list:
     """The six kinds, plus random members scaled far apart and a diagonal
     one: members that converge at sweep 0, after one sweep (near-diagonal)
-    and after several, and zero-norm members that take the serial path."""
+    and after several, and zero-norm members that never rotate."""
     rng = np.random.default_rng([dim, 99])
     extra = []
     for scale in (1e-150, 1.0, 1e5):
@@ -104,11 +104,10 @@ def test_batched_kernel_matches_reference_bytes(dim, want_vectors):
 def test_eigendecompose_many_fills_caches_with_serial_bytes():
     rng = np.random.default_rng(5)
     matrices = [HermitianMatrix(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-                for d in [3] * herm.BATCH_MIN + [6] * (2 * herm.BATCH_MAX + 1)]
-    small = HermitianMatrix(rng.normal(size=(5, 5)))  # a group below BATCH_MIN
+                for d in [3] * 6 + [6] * 65]
+    small = HermitianMatrix(rng.normal(size=(5, 5)))  # a group of one is a stack of one
     eigendecompose_many(matrices + [small, matrices[0]])
-    assert small._eig is None
-    for matrix in matrices:
+    for matrix in matrices + [small]:
         assert matrix._eig is not None
         lam, vec = reference_jacobi(matrix.entries, True)
         assert _same_bytes(matrix._eig.eigenvalues, lam)
@@ -135,7 +134,7 @@ def test_eigendecompose_many_leaves_non_converging_members_unfilled(monkeypatch)
     monkeypatch.setattr(herm, "JACOBI_SWEEP_BUDGET", 1)
     rng = np.random.default_rng(8)
     hard = [HermitianMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-            for _ in range(herm.BATCH_MIN)]
+            for _ in range(6)]
     easy = HermitianMatrix(np.diag(np.arange(6.0)))
     eigendecompose_many(hard + [easy])  # never raises
     assert easy._eig is not None
@@ -145,4 +144,6 @@ def test_eigendecompose_many_leaves_non_converging_members_unfilled(monkeypatch)
             eigendecompose(matrix)
         with pytest.raises(NonConvergence) as serial:
             herm._jacobi(matrix.entries, True)
-        assert str(batched.value) == str(serial.value)
+        assert str(batched.value) == str(serial.value) == (
+            "Jacobi sweeps exhausted (1) at dim 6; off-diagonal norm still above "
+            f"{herm.JACOBI_CONV_TOL * matrix.fro_norm:.3e}")
