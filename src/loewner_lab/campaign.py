@@ -19,16 +19,16 @@ first, and are folded in window order.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import islice
 
 from . import __version__, chains
-from .errors import ConfigError, IoError, LoewnerLabError, SpecParseError, UnknownKind
+from .errors import ConfigError, IoError, LoewnerLabError
 from .chains import (
-    THEOREMS,
     Drawn,
     needs_nonneg_instances,
     resolve_theorem,
@@ -55,17 +55,15 @@ class CampaignConfig:
     tol: float
     seed: int
 
-    _FIELDS = ("theorem_ids", "function_specs", "map_specs", "dims", "mm_ranges",
-               "instances_per_cell", "tol", "seed")
-
     @classmethod
     def from_dict(cls, obj: dict) -> "CampaignConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(obj) - set(cls._FIELDS)
+        names = [f.name for f in fields(cls)]
+        unknown = set(obj) - set(names)
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        missing = [k for k in cls._FIELDS if k not in obj and k != "seed"]
+        missing = [k for k in names if k not in obj and k != "seed"]
         if missing:
             raise ConfigError(f"missing config field(s): {', '.join(missing)}")
         cfg = cls(
@@ -83,25 +81,15 @@ class CampaignConfig:
         return cfg
 
     def validate(self) -> None:
-        if not self.theorem_ids:
-            raise ConfigError("theorem_ids: must be non-empty")
-        for t in self.theorem_ids:
-            if str(t).upper() not in THEOREMS:
-                raise ConfigError(f"theorem_ids: unknown id {t!r}")
-        if not self.function_specs:
-            raise ConfigError("function_specs: must be non-empty")
-        for s in self.function_specs:
-            try:
-                parse_function_spec(s)
-            except SpecParseError as exc:
-                raise ConfigError(f"function_specs: {exc}") from None
-        if not self.map_specs:
-            raise ConfigError("map_specs: must be non-empty")
-        for s in self.map_specs:
-            try:
-                check_map_spec(s)
-            except (SpecParseError, UnknownKind) as exc:
-                raise ConfigError(f"map_specs: {exc}") from None
+        for name, parse in (("theorem_ids", resolve_theorem),
+                            ("function_specs", parse_function_spec), ("map_specs", check_map_spec)):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: must be non-empty")
+            for entry in getattr(self, name):
+                try:
+                    parse(entry)
+                except LoewnerLabError as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
         check_dims(self.dims)
         if not self.mm_ranges:
             raise ConfigError("mm_ranges: must be non-empty")
@@ -360,6 +348,8 @@ def _pool_map(config: CampaignConfig, windows, costs, workers: int) -> list:
     # Python 3.14's default, forkserver, would re-import __main__ and numpy
     # in every worker, and fails outright when __main__ has no main guard.
     # Fork copies no other thread, so a caller must not hold a lock in one.
+    # The teardown would also stop a child that another thread starts meanwhile.
+    children = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = {w: pool.submit(_run_window, config, windows[w])
@@ -367,16 +357,14 @@ def _pool_map(config: CampaignConfig, windows, costs, workers: int) -> list:
         records = [futures[w].result() for w in range(len(windows))]
     except BaseException:
         # A pool whose manager thread never started, or whose worker died,
-        # leaves workers that no shutdown tells to exit.  A running manager
-        # thread may be reaping them too, so it is waited for last.
-        processes = list((pool._processes or {}).values())
-        manager = pool._executor_manager_thread
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
+        # leaves workers that no shutdown tells to exit, so they go first.
+        # Shutdown then joins a running manager thread, which may be reaping
+        # them too, and raises RuntimeError for one that never started.
+        for process in set(multiprocessing.active_children()) - children:
             process.terminate()
             process.join()
-        if manager is not None and manager.is_alive():
-            manager.join()
+        with contextlib.suppress(RuntimeError):
+            pool.shutdown(cancel_futures=True)
         raise
     pool.shutdown()
     return records

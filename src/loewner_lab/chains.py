@@ -43,9 +43,8 @@ a build every operand a function is applied to, and evaluation every link
 difference, each in one round.  ``window_outcomes`` runs a window's
 instances side by side in rounds, so each round's requests are decomposed
 as same-dimension stacks.  Each drawn instance carries its own theorem and
-function, so a campaign window spans cells; a hunt reads
-``instance_outcomes``, whose windows grow 1, 2, 4, 8 instances, then
-``WINDOW``.
+function, so a campaign window spans cells; a hunt runs its attempts in
+windows of ``WINDOW`` and reads their outcomes in attempt order.
 
 Registry ids (case-insensitive):
 
@@ -863,20 +862,6 @@ def window_outcomes(draws, tol: float, *, seed: int | None, relaxed: str | None 
     return drive(gather([_outcome_steps(draw, tol, seed, relaxed) for draw in draws]))
 
 
-def instance_outcomes(count: int, draw, tol: float, *, seed: int | None,
-                      relaxed: str | None = None):
-    """Yield the outcomes of instances 0..count-1 in order; ``draw(i)``
-    returns instance i as a ``Drawn``.  Windows hold 1, 2, 4, ... instances
-    up to ``WINDOW``, so a reader that stops early has run little past the
-    instance it stopped at, and a long run still gets full stacks."""
-    start, size = 0, 1
-    while start < count:
-        stop = min(start + size, count)
-        yield from window_outcomes([partial(draw, i) for i in range(start, stop)], tol,
-                                   seed=seed, relaxed=relaxed)
-        start, size = stop, min(2 * size, WINDOW)
-
-
 _RELAX_RELATIONS = {  # relations sampled in turn, so that only the named clause breaks
     "cond-i-f": (SumRelation.SUM_LEQ,), "cond-ii-sum": (SumRelation.SUM_LEQ,),
     "cond-i-sum": (SumRelation.SUM_GEQ,), "cond-ii-f": (SumRelation.SUM_GEQ,),
@@ -940,11 +925,13 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
             maps = yield from sample_map.steps(map_spec, dim, rng)
         return Drawn(spec, f, inst, maps)
 
-    outcomes = instance_outcomes(budget, draw, tol, seed=seed, relaxed=relaxation)
-    for attempt, outcome in enumerate(outcomes):
-        if isinstance(outcome, LoewnerLabError):
-            raise outcome
-        if not outcome.passed:
-            return HuntResult(instance=outcome.instance, report=outcome,
-                              attempts=attempt + 1, attempt_index=attempt)
+    for start in range(0, budget, WINDOW):
+        draws = [partial(draw, i) for i in range(start, min(start + WINDOW, budget))]
+        outcomes = window_outcomes(draws, tol, seed=seed, relaxed=relaxation)
+        for attempt, outcome in enumerate(outcomes, start):
+            if isinstance(outcome, LoewnerLabError):
+                raise outcome
+            if not outcome.passed:
+                return HuntResult(instance=outcome.instance, report=outcome,
+                                  attempts=attempt + 1, attempt_index=attempt)
     return None

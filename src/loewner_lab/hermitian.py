@@ -483,22 +483,17 @@ def apply_scalar_function(matrix: HermitianMatrix, f) -> HermitianMatrix:
     return HermitianMatrix(out)
 
 
-_POS_PART = None
-
-
 def positive_part(matrix: HermitianMatrix) -> HermitianMatrix:
-    """Functional calculus of t -> max(t, 0); the result is PSD and >= A."""
-    global _POS_PART
-    if _POS_PART is None:
-        from .functions import FunctionDescriptor, Interval
-
-        _POS_PART = FunctionDescriptor(
-            id="positive-part",
-            domain=Interval.real_line(),
-            classes=frozenset({"convex", "non-negative"}),
-            eval_fn=lambda t: t if t > 0.0 else 0.0,
-        )
-    return apply_scalar_function(matrix, _POS_PART)
+    """V max(lambda, 0) V*: PSD and >= A.  A NaN eigenvalue counts as 0, and
+    an infinite one raises DomainViolation."""
+    dec = eigendecompose(matrix)
+    lam = dec.eigenvalues
+    if np.isinf(lam).any():
+        t = lam[np.isinf(lam)][0]
+        raise DomainViolation(f"eigenvalue {t!r} outside domain (-inf, inf) of positive-part",
+                              value=float(t))
+    out = (dec.vectors * np.where(lam > 0.0, lam, 0.0)) @ dec.vectors.conj().T
+    return HermitianMatrix(out)
 
 
 def spectral_bounds(matrix: HermitianMatrix) -> tuple[float, float]:

@@ -53,13 +53,6 @@ class SumRelation(enum.Enum):
     SUM_LEQ = "sum-leq"  # B + C <= A + D
     SUM_GEQ = "sum-geq"  # A + D <= B + C
 
-    @classmethod
-    def from_string(cls, s: str) -> "SumRelation":
-        for rel in cls:
-            if rel.value == s:
-                return rel
-        raise ShapeMismatch(f"unknown sum relation {s!r}")
-
 
 class _Instance:
     """Behaviour shared by every instance kind."""
@@ -155,9 +148,13 @@ class QuadrupleInstance(_Instance):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "QuadrupleInstance":
-        return cls(**_fields(obj, "A", "B", "C", "D"),
-                   relation=SumRelation.from_string(obj.get("relation", "equal-sum")),
-                   nonneg_A=_flag(obj, "nonneg_A"))
+        fields = _fields(obj, "A", "B", "C", "D")
+        relation = obj.get("relation", "equal-sum")
+        try:
+            relation = SumRelation(relation)
+        except ValueError:
+            raise ShapeMismatch(f"unknown sum relation {relation!r}") from None
+        return cls(**fields, relation=relation, nonneg_A=_flag(obj, "nonneg_A"))
 
     @cached_property
     def _sum_sides(self) -> tuple:
@@ -414,7 +411,7 @@ def _check_interval(m: float, M: float, nonneg_A: bool = False) -> None:
 
 
 @stepwise
-def sample_quadruple(dim: int, m: float, M: float, relation: SumRelation | str = SumRelation.EQUAL,
+def sample_quadruple(dim: int, m: float, M: float, relation: SumRelation = SumRelation.EQUAL,
                      nonneg_A: bool = False, seed=0) -> QuadrupleInstance:
     """Quadruple with B, C sandwiched in [m, M], A below m, D above M, and
     the requested sum relation holding exactly by construction.
@@ -428,8 +425,6 @@ def sample_quadruple(dim: int, m: float, M: float, relation: SumRelation | str =
     lambda_max(P0) before Q is drawn and A >= 0 is checked, so each attempt
     requests one matrix at a time.
     """
-    if isinstance(relation, str):
-        relation = SumRelation.from_string(relation)
     _check_interval(m, M, nonneg_A)
     rng = as_generator(seed)
     spread = SHIFT_SHARE * (M - m)

@@ -351,9 +351,6 @@ def sample_map(kind: str, dim: int, seed) -> PositiveUnitalMap:
     return MixedUnitaryMap(weights, [np.asarray(eigendecompose(h).vectors) for h in drawn])
 
 
-_FAMILY_BASE_KINDS = ("identity", "pinching", "mixed")
-
-
 @stepwise
 def sample_map_family(n: int, dim: int, seed) -> MapFamily:
     """n sub-unital maps w_i * Phi_i with flat-simplex weights, so the unit
@@ -370,10 +367,8 @@ def sample_map_family(n: int, dim: int, seed) -> MapFamily:
 
 
 def _family_member_steps(dim: int, rng: np.random.Generator):
-    choice = int(rng.integers(0, len(_FAMILY_BASE_KINDS) + 1))
-    if choice == len(_FAMILY_BASE_KINDS):
-        return CompressionMap(random_isometry(dim, dim, rng))
-    return (yield from sample_map.steps(_FAMILY_BASE_KINDS[choice], dim, rng))
+    kinds = ("identity", "pinching", "mixed", f"compression:k={dim}")
+    return (yield from sample_map.steps(kinds[int(rng.integers(0, len(kinds)))], dim, rng))
 
 
 def check_map_spec(spec: str) -> None:

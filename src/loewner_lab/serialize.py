@@ -8,6 +8,7 @@ exact float64 round-trip) and keys are always sorted.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 
@@ -37,7 +38,7 @@ def _write(obj, parts: list) -> None:
     elif isinstance(obj, float):
         parts.append(_format_float(obj))
     elif isinstance(obj, str):
-        parts.append(_escape(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -45,7 +46,7 @@ def _write(obj, parts: list) -> None:
                 raise TypeError(f"non-string key {key!r}")
             if i:
                 parts.append(",")
-            parts.append(_escape(key))
+            parts.append(_quote(key))
             parts.append(":")
             _write(obj[key], parts)
         parts.append("}")
@@ -60,28 +61,7 @@ def _write(obj, parts: list) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+_quote = json.JSONEncoder(ensure_ascii=False).encode  # escapes only '"', '\\' and below 0x20
 
 
 def digest(obj) -> str:

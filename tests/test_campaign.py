@@ -61,6 +61,9 @@ def test_config_roundtrip_and_validation():
         ({"seed": "x"}, "seed"),
         ({"dims": [2, 17]}, "dims"),
         ({"mm_ranges": [5]}, "mm_ranges"),
+        ({"theorem_ids": []}, "theorem_ids: must be non-empty"),
+        ({"function_specs": []}, "function_specs: must be non-empty"),
+        ({"map_specs": []}, "map_specs: must be non-empty"),
     ],
 )
 def test_config_rejects_bad_values(patch, fragment):

@@ -192,6 +192,43 @@ def test_positive_part_projects_pauli_x():
     assert np.allclose(out.entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-13)
 
 
+_CLAMP_AT_ZERO = FunctionDescriptor(id="clamp", domain=Interval.real_line(),
+                                    classes=frozenset(), eval_fn=lambda t: t if t > 0 else 0)
+
+
+def _positive_part_cases(dim, rng):
+    """Random, negative definite and rank-deficient matrices, and diagonals
+    holding exact 0.0, -0.0 and negative eigenvalues.  Symmetrization turns
+    -0.0 into 0.0, so -0.0 comes from a positive scaling that underflows."""
+    diag = np.resize([0.0, -1.5, 2.0, 0.0], dim)
+    underflow = HermitianMatrix(np.diag(np.resize([-1e-300, 1.0, -1e-300], dim))) * 1e-300
+    ones = np.ones((dim, dim))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return [random_hermitian(dim, rng), HermitianMatrix(-(g @ g.conj().T)),
+            HermitianMatrix(ones), HermitianMatrix(-ones), HermitianMatrix(np.diag(diag)),
+            HermitianMatrix(np.zeros((dim, dim))), underflow]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_positive_part_has_the_bytes_of_the_functional_calculus(dim):
+    rng = np.random.default_rng(dim)
+    for x in _positive_part_cases(dim, rng):
+        expected = apply_scalar_function(x, _CLAMP_AT_ZERO).entries
+        assert positive_part(x).entries.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_positive_part_of_an_infinite_eigenvalue_raises(value):
+    with np.errstate(invalid="ignore"), pytest.raises(DomainViolation, match="positive-part"):
+        positive_part(HermitianMatrix([[value]]))
+
+
+def test_positive_part_of_a_nan_eigenvalue_is_zero():
+    with np.errstate(invalid="ignore"):
+        out = positive_part(HermitianMatrix([[math.nan]]))
+    assert out.entries.tobytes() == np.zeros((1, 1), dtype=complex).tobytes()
+
+
 def test_positive_part_dominates_input():
     rng = np.random.default_rng(8)
     a = random_hermitian(5, rng)

@@ -98,9 +98,9 @@ def test_budget_cuts_the_last_attempts(monkeypatch):
     assert len(drawn) == 37
 
 
-def test_a_hunt_that_fails_at_once_builds_one_chain(monkeypatch):
-    # Windows grow from one attempt, so a first attempt that fails is the
-    # only one drawn, built and evaluated.
+def test_a_hunt_that_fails_at_once_builds_one_window(monkeypatch):
+    # Attempts run in windows of WINDOW, so a first attempt that fails is
+    # reported once its window, min(budget, WINDOW) attempts, is built.
     original = chains.build_chain.steps
     built = []
 
@@ -109,6 +109,9 @@ def test_a_hunt_that_fails_at_once_builds_one_chain(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(chains.build_chain, "steps", counting)
-    result = hunt_counterexample("lc-quad", "cond-i-f", 2000, 7, parse_function_spec("pow:p=-1"))
-    assert result.attempt_index == 0
-    assert len(built) == 1
+    for budget in (3, 2000):
+        built.clear()
+        result = hunt_counterexample("lc-quad", "cond-i-f", budget, 7,
+                                     parse_function_spec("pow:p=-1"))
+        assert (result.attempt_index, result.attempts) == (0, 1)
+        assert len(built) == min(budget, chains.WINDOW)

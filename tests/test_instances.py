@@ -185,6 +185,8 @@ def test_instance_file_roundtrips():
     ({"D": None}, ShapeMismatch),
     ({"nonneg_A": "false"}, ShapeMismatch),
     ({"nonneg_A": 0}, ShapeMismatch),
+    ({"relation": "sum-less"}, ShapeMismatch),
+    ({"relation": ["equal-sum"]}, ShapeMismatch),
 ])
 def test_malformed_instance_file_raises_typed_error(patch, error):
     obj = {key: value for key, value in
