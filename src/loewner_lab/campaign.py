@@ -5,16 +5,16 @@ dimensions.  Every cell draws ``instances_per_cell`` fresh instances, builds
 the registered chain, and aggregates link verdicts.
 
 Every cell is planned up front: a skip reason, or a draw of its instances.
-Runnable cells are grouped into windows (``plan_windows``) so that one-instance
-cells share eigensolver stacks, each window runs through
-``chains.window_outcomes`` (``_run_window``), and each cell's result is
-folded from the ordered stream of its instances' records.  Instance streams
-are keyed by ``(seed, cell_index, instance_index)``, and reports are
-serialized canonically (sorted keys, 17-significant-digit floats), so
-identical configurations produce byte-identical reports at any window size
-and any ``jobs``.  At ``jobs`` 1 windows run in order on the calling thread;
-at ``jobs`` > 1 they run in a pool of forked worker processes, largest
-first, and are folded in window order.
+``plan_windows`` groups the runnable instances by dimension into windows, so
+that each round of a window decomposes one full stack, whichever cells its
+instances come from.  Each window runs through ``chains.window_outcomes``
+(``_run_window``), and each cell is folded from its own instances' records.
+Instance streams are keyed by ``(seed, cell_index, instance_index)``, and
+reports are serialized canonically (sorted keys, 17-significant-digit
+floats), so identical configurations produce byte-identical reports at any
+window size and any ``jobs``.  At ``jobs`` 1 windows run in order on the
+calling thread; at ``jobs`` > 1 they run in a pool of forked worker
+processes, largest first.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
-from itertools import islice
 
 from . import __version__, chains
 from .errors import ConfigError, IoError, LoewnerLabError
@@ -288,34 +287,22 @@ def plan_cells(config: CampaignConfig):
     return cells
 
 
-# A window that spans cells also holds at most this many matrix entries,
-# the sum of dim^2 over its instances, which bounds the memory it holds.
-WINDOW_ENTRIES = 512
+def plan_windows(per_cell: int, dims, workers: int = 1) -> list:
+    """Group the instances of the runnable cells, ``per_cell`` each at the
+    given dims in order, into windows of (cell, instance) pairs.
 
-
-def plan_windows(per_cell: int, dims) -> list:
-    """Group the runnable cells, of ``per_cell`` instances each at the given
-    dims in order, into windows of (cell, start, stop) instance ranges.
-
-    A window takes whole consecutive cells while it holds at most
-    ``chains.WINDOW`` instances and ``WINDOW_ENTRIES`` entries.  A cell over
-    either bound runs alone, ``chains.WINDOW`` instances at a time.
+    A window holds one dimension, so each of its rounds decomposes one
+    stack.  A dimension's n instances, in cell order, split into
+    max(min(workers, n), ceil(n / ``chains.WINDOW``)) near-equal windows.
     """
-    windows, current, held, entries = [], [], 0, 0
+    by_dim: dict[int, list] = {}
     for cell, dim in enumerate(dims):
-        cost = per_cell * dim * dim
-        if held + per_cell > chains.WINDOW or entries + cost > WINDOW_ENTRIES:
-            if current:
-                windows.append(current)
-            current, held, entries = [], 0, 0
-        if per_cell > chains.WINDOW or cost > WINDOW_ENTRIES:
-            windows.extend([(cell, start, min(start + chains.WINDOW, per_cell))]
-                           for start in range(0, per_cell, chains.WINDOW))
-            continue
-        current.append((cell, 0, per_cell))
-        held, entries = held + per_cell, entries + cost
-    if current:
-        windows.append(current)
+        by_dim.setdefault(dim, []).extend((cell, i) for i in range(per_cell))
+    windows = []
+    for instances in by_dim.values():
+        n = len(instances)
+        parts = max(min(workers, n), -(-n // chains.WINDOW))
+        windows.extend(instances[j * n // parts:(j + 1) * n // parts] for j in range(parts))
     return windows
 
 
@@ -332,7 +319,7 @@ def _run_window(config: CampaignConfig, window) -> list:
     """The records (see ``_record``) of one window's instances, in order."""
     draws = _plan(config)[1]
     outcomes = window_outcomes(
-        [partial(draws[cell], i) for cell, start, stop in window for i in range(start, stop)],
+        [partial(draws[cell], i) for cell, i in window],
         config.tol, seed=config.seed)
     return [_record(outcome) for outcome in outcomes]
 
@@ -348,9 +335,17 @@ def _pool_map(config: CampaignConfig, windows, costs, workers: int) -> list:
     # Python 3.14's default, forkserver, would re-import __main__ and numpy
     # in every worker, and fails outright when __main__ has no main guard.
     # Fork copies no other thread, so a caller must not hold a lock in one.
-    # The teardown would also stop a child that another thread starts meanwhile.
-    children = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # The pool's workers are recorded as they start, so that a teardown stops
+    # them and no child that another thread starts.
+    fork, started = multiprocessing.get_context("fork"), []
+
+    class Context(type(fork)):
+        class Process(fork.Process):
+            def start(self):
+                super().start()
+                started.append(self)
+
+    pool = ProcessPoolExecutor(workers, mp_context=Context())
     try:
         futures = {w: pool.submit(_run_window, config, windows[w])
                    for w in sorted(range(len(windows)), key=costs.__getitem__, reverse=True)}
@@ -360,7 +355,7 @@ def _pool_map(config: CampaignConfig, windows, costs, workers: int) -> list:
         # leaves workers that no shutdown tells to exit, so they go first.
         # Shutdown then joins a running manager thread, which may be reaping
         # them too, and raises RuntimeError for one that never started.
-        for process in set(multiprocessing.active_children()) - children:
+        for process in started:
             process.terminate()
             process.join()
         with contextlib.suppress(RuntimeError):
@@ -372,27 +367,30 @@ def _pool_map(config: CampaignConfig, windows, costs, workers: int) -> list:
 
 def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
     """Execute every cell, window by window.  ``jobs`` must be an integer
-    >= 1.  At 1, or when the pool would have one worker, windows run in
-    order on the calling thread; otherwise they run in a pool of
-    min(jobs, windows, cores) forked processes, the costliest (by
+    >= 1.  Windows are planned for min(jobs, cores) workers; with one worker
+    or one window they run in order on the calling thread, otherwise in a
+    pool of min(jobs, windows, cores) forked processes, the costliest (by
     instances x dim^3) first.  The report is deterministic in (config, seed)
-    at any ``jobs`` because each instance owns a counter-keyed stream and
-    records are folded in cell order."""
+    at any ``jobs``: each instance owns a counter-keyed stream and each cell
+    is folded from its own records in instance order."""
     config.validate()
     check_int(jobs, "jobs", 1)
     planned, _ = _plan(config)
-    per_cell = config.instances_per_cell
     dims = [header.dim for header, draw in planned if draw is not None]
-    windows = plan_windows(per_cell, dims)
-    workers = min(jobs, len(windows), os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1)
+    windows = plan_windows(config.instances_per_cell, dims, workers)
+    workers = min(workers, len(windows))
     if workers > 1:
-        costs = [sum((stop - start) * dims[cell] ** 3 for cell, start, stop in window)
-                 for window in windows]
+        costs = [len(window) * dims[window[0][0]] ** 3 for window in windows]
         per_window = _pool_map(config, windows, costs, workers)
     else:
         per_window = map(partial(_run_window, config), windows)
-    stream = (record for records in per_window for record in records)
-    results = [header if draw is None else _fold(header, islice(stream, per_cell))
+    records = [[] for _ in dims]
+    for window, window_records in zip(windows, per_window):
+        for (cell, _), record in zip(window, window_records):
+            records[cell].append(record)
+    runnable = iter(records)
+    results = [header if draw is None else _fold(header, next(runnable))
                for header, draw in planned]
     any_fail = any(c.fail_count > 0 for c in results)
     return CampaignReport(

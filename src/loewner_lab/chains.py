@@ -831,8 +831,8 @@ class Drawn(NamedTuple):
     maps: object
 
 
-# A window runs at most this many instances together: enough for each round to
-# stack several matrices of a dimension, few enough to bound what it holds.
+# A window runs at most this many instances together.  It alone bounds what a
+# window holds: its rounds' stacks, and so the Jacobi kernel's working array.
 WINDOW = 16
 
 
@@ -905,6 +905,10 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
             state = "holds" if relaxation.endswith("-f") else "fails"
             raise HypothesisViolation(f"{relaxation} cannot break its clause alone",
                                       f"its f clause {state} at f(m)={fm}, f(M)={fM}")
+        if relaxation.endswith("-sum") and _f_leq(hi, lo, tol):
+            # f(m) ~ f(M), so every attempt would meet the other condition in full.
+            raise HypothesisViolation(f"{relaxation} cannot break the hypothesis",
+                                      f"its f clause holds both ways at f(m)={fm}, f(M)={fM}")
     dims = check_dims(dims)
     if spec.map_mode == "single":
         for dim in dims:

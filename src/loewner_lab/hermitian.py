@@ -46,10 +46,6 @@ HERMITIAN_ASYM_TOL = 1e-12
 # Jacobi convergence: off-diagonal Frobenius norm <= JACOBI_CONV_TOL * ||A||_F.
 JACOBI_CONV_TOL = 1e-13
 JACOBI_SWEEP_BUDGET = 64
-# eigendecompose_many splits a same-dimension group into near-equal stacks of
-# at most BATCH_MAX, which bounds the kernel's working array (8 KB per member
-# at dim 16) and so the process's peak memory, at little cost in speed.
-BATCH_MAX = 32
 # Eigenvalues within DOMAIN_CLAMP_TOL * ||A||_F of a closed domain boundary are
 # clamped onto it before a scalar function is applied.
 DOMAIN_CLAMP_TOL = 1e-12
@@ -257,7 +253,8 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
     each keeps its own threshold and skip, a member whose (p, q) entry is
     not above its skip sits that rotation out, and a converged member leaves
     the stack at the first sweep that finds its off-diagonal norm below its
-    threshold.  A zero-norm or 1x1 member is its own diagonal.
+    threshold, the members after it moving down in place.  A zero-norm or
+    1x1 member is its own diagonal.
 
     Member m holds the columns of its ``[A; V]`` as rows ``work[m, j]``, so
     a column update is contiguous and a row update of A strided.  Two
@@ -293,7 +290,7 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
     work_real, work_imag = work.real, work.imag
 
     for _ in range(JACOBI_SWEEP_BUDGET):
-        keep = np.ones(ids.size, dtype=bool)
+        kept = 0
         for m in range(ids.size):
             a = work[m, :, :n].T
             if _off_norm(a) <= threshold[m]:
@@ -301,12 +298,15 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
                 order = np.argsort(lam, kind="stable")
                 v = np.ascontiguousarray(work[m, :, n:].T[:, order]) if want_vectors else None
                 out[ids[m]] = (lam[order], v)
-                keep[m] = False
-        if not keep.all():
-            ids, threshold, skip = ids[keep], threshold[keep], skip[keep]
-            if not ids.size:
+                continue
+            if kept < m:  # in place, so that one working array stays live
+                work[kept] = work[m]
+                ids[kept], threshold[kept], skip[kept] = ids[m], threshold[m], skip[m]
+            kept += 1
+        if kept < ids.size:
+            if not kept:
                 return out
-            work = work[keep]
+            ids, threshold, skip, work = ids[:kept], threshold[:kept], skip[:kept], work[:kept]
             work_real, work_imag = work.real, work.imag
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -380,23 +380,21 @@ def eigendecompose_many(matrices) -> None:
     with the bytes ``eigendecompose`` would cache.
 
     Matrices are grouped by dimension, and each group runs through the
-    kernel in near-equal stacks of at most ``BATCH_MAX``.  Never raises: a
-    matrix that has not converged is left for ``eigendecompose``, which
-    raises its ``NonConvergence`` when the matrix is first read.
+    kernel as one stack; the caller's window bounds how many there are.
+    Never raises: a matrix that has not converged is left for
+    ``eigendecompose``, which raises its ``NonConvergence`` when the matrix
+    is first read.
     """
     groups: dict[int, dict] = {}
     for matrix in matrices:
         if matrix._eig is None:
             groups.setdefault(matrix.dim, {})[id(matrix)] = matrix
     for group in groups.values():
-        members = list(group.values())
-        parts = -(-len(members) // BATCH_MAX)
-        for j in range(parts):
-            stack = members[j * len(members) // parts:(j + 1) * len(members) // parts]
-            results = _jacobi_many([m.entries for m in stack], want_vectors=True)
-            for matrix, result in zip(stack, results):
-                if result is not None:
-                    _store(matrix, *result)
+        stack = list(group.values())
+        results = _jacobi_many([m.entries for m in stack], want_vectors=True)
+        for matrix, result in zip(stack, results):
+            if result is not None:
+                _store(matrix, *result)
 
 
 def drive(steps):

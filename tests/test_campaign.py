@@ -6,7 +6,6 @@ import pytest
 
 from loewner_lab import chains
 from loewner_lab.campaign import (
-    WINDOW_ENTRIES,
     CampaignConfig,
     emit_report,
     plan_cells,
@@ -220,38 +219,41 @@ def test_overtight_tolerance_fails_cells_with_digests():
 # -- windows across cells ---------------------------------------------------------
 
 
-def _entries(window, dims):
-    return sum((stop - start) * dims[cell] ** 2 for cell, start, stop in window)
-
-
 @pytest.mark.parametrize("per_cell", [1, 2, 3, 5, 17])
-def test_multi_cell_windows_stay_within_both_bounds(per_cell):
+def test_windows_hold_one_dimension_in_near_equal_parts(per_cell):
     dims = [2, 4, 12, 2, 4, 8, 8, 8, 3, 16, 2, 1, 1, 5]
-    windows = plan_windows(per_cell, dims)
-    # Every instance once, in cell order.
-    assert [(cell, i) for window in windows for cell, start, stop in window
-            for i in range(start, stop)] == [(c, i) for c in range(len(dims))
-                                             for i in range(per_cell)]
-    for window, following in zip(windows, windows[1:] + [None]):
-        if len(window) > 1:
-            assert all((start, stop) == (0, per_cell) for _, start, stop in window)
-            assert len(window) * per_cell <= chains.WINDOW
-            assert _entries(window, dims) <= WINDOW_ENTRIES
-        # Greedy: the next whole cell would break a bound.
-        if following is not None and following[0][1:] == (0, per_cell):
-            grown = window + following[:1]
-            assert (len(grown) * per_cell > chains.WINDOW
-                    or _entries(grown, dims) > WINDOW_ENTRIES)
+    for workers in (1, 2, 3, 8):
+        windows = plan_windows(per_cell, dims, workers)
+        # Every instance once, in cell order within its dimension.
+        for dim in set(dims):
+            assert [pair for window in windows for pair in window if dims[pair[0]] == dim] == [
+                (c, i) for c in range(len(dims)) if dims[c] == dim for i in range(per_cell)]
+        assert sum(map(len, windows)) == len(dims) * per_cell
+        by_dim = {}
+        for window in windows:
+            (dim,) = {dims[cell] for cell, _ in window}
+            by_dim.setdefault(dim, []).append(len(window))
+        for dim, sizes in by_dim.items():
+            n = dims.count(dim) * per_cell
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= chains.WINDOW
+            assert len(sizes) == max(min(workers, n), -(-n // chains.WINDOW))
 
 
-def test_a_cell_over_either_bound_runs_alone(monkeypatch):
-    # Four instances at dim 16 hold 1024 entries: one window, as within a cell.
-    assert plan_windows(4, [16]) == [[(0, 0, 4)]]
-    assert plan_windows(4, [8, 16, 8, 16]) == [[(0, 0, 4)], [(1, 0, 4)], [(2, 0, 4)], [(3, 0, 4)]]
-    assert plan_windows(40, [2, 1]) == [[(0, 0, 16)], [(0, 16, 32)], [(0, 32, 40)],
-                                        [(1, 0, 16)], [(1, 16, 32)], [(1, 32, 40)]]
-    assert plan_windows(1, [12] * 4) == [[(0, 0, 1), (1, 0, 1), (2, 0, 1)], [(3, 0, 1)]]
+def test_windows_split_each_dimension_for_the_workers(monkeypatch):
+    def cells(*spans):
+        return [(cell, i) for cell, start, stop in spans for i in range(start, stop)]
+
+    # Two dims: one window each at one worker, one per cell at two.
+    assert plan_windows(4, [8, 16, 8, 16]) == [cells((0, 0, 4), (2, 0, 4)),
+                                               cells((1, 0, 4), (3, 0, 4))]
+    assert plan_windows(4, [8, 16, 8, 16], 2) == [cells((0, 0, 4)), cells((2, 0, 4)),
+                                                  cells((1, 0, 4)), cells((3, 0, 4))]
+    # Over WINDOW: ceil(n / WINDOW) near-equal windows, a cell split across two.
+    assert plan_windows(20, [2, 1, 2]) == [cells((0, 0, 13)), cells((0, 13, 20), (2, 0, 6)),
+                                           cells((2, 6, 20)), cells((1, 0, 10)),
+                                           cells((1, 10, 20))]
+    # More workers than instances: one window per instance.
+    assert plan_windows(1, [12] * 3, 8) == [cells((0, 0, 1)), cells((1, 0, 1)), cells((2, 0, 1))]
     monkeypatch.setattr(chains, "WINDOW", 2)
-    assert plan_windows(3, [2, 2]) == [[(0, 0, 2)], [(0, 2, 3)], [(1, 0, 2)], [(1, 2, 3)]]
-    assert plan_windows(1, [2] * 5) == [[(0, 0, 1), (1, 0, 1)], [(2, 0, 1), (3, 0, 1)],
-                                        [(4, 0, 1)]]
+    assert plan_windows(1, [2] * 5) == [cells((0, 0, 1)), cells((1, 0, 1), (2, 0, 1)),
+                                        cells((3, 0, 1), (4, 0, 1))]

@@ -11,9 +11,10 @@ window of 2 instances:
 How a campaign schedules its sampling, validation, chain builds and
 eigensolves, within a cell or across cells, on the calling thread or in
 worker processes, may change; its report bytes may not.  A pool that cannot
-start or loses a worker raises, and leaves no process behind.  On the
-benchmark's campaign-deep and campaign-wide configs, every Jacobi run is a
-member of a stack, and on the deep golden config every member's
+start or loses a worker raises, leaves no worker behind and stops no child
+that it did not start.  On the benchmark's campaign-deep and campaign-wide
+configs, every Jacobi run is a member of a stack, campaign-deep's rounds
+make one stack per dimension, and on the deep golden config every member's
 decomposition agrees with LAPACK.
 """
 
@@ -24,6 +25,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -186,6 +188,48 @@ def test_a_worker_that_dies_raises(four_cores, monkeypatch, tmp_path):
     assert _guarded(lambda: _campaign_cli(WIDE_CONFIG, tmp_path, 2)) == 2
 
 
+def _wait_for(path, timeout=60):
+    deadline = time.monotonic() + timeout
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def test_a_child_started_meanwhile_survives_the_teardown(four_cores, monkeypatch, tmp_path):
+    # Another thread starts a child once the pool's workers run, and only
+    # then does a worker die: the teardown stops the pool's workers alone.
+    parent = os.getpid()
+    ready, go = tmp_path / "ready", tmp_path / "go"
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            ready.touch()
+            _wait_for(go)
+            os._exit(3)
+        return window_outcomes(*args, **kwargs)
+
+    bystander = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+
+    def start_bystander():
+        _wait_for(ready)
+        bystander.start()
+        go.touch()
+
+    monkeypatch.setattr(campaign, "window_outcomes", dying)
+    thread = threading.Thread(target=start_bystander, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_campaign(CampaignConfig.from_dict(WIDE_CONFIG), jobs=2)
+        thread.join(60)
+        assert not thread.is_alive() and bystander.is_alive()
+    finally:
+        thread.join(60)
+        if bystander.pid is not None:
+            bystander.terminate()
+            bystander.join()
+    assert multiprocessing.active_children() == []
+
+
 # Three cells of one instance each: three windows of one instance.
 THREE_WINDOWS = dict(GOLDEN_CONFIG, theorem_ids=["LC-QUAD"], dims=[2, 3, 4],
                      instances_per_cell=1)
@@ -339,6 +383,21 @@ def test_nine_in_ten_jacobi_runs_are_stacked(workload, configs, monkeypatch):
     with open(os.path.join(root, "perfbench", "digests.json"), encoding="utf-8") as fh:
         assert digest.hexdigest() == json.load(fh)[__version__][workload][3]
     assert runs["serial"] == 0 and runs["stacked"] > 0, runs
+
+
+def test_campaign_deep_runs_one_stack_per_dimension_and_round(monkeypatch):
+    # At jobs 1 each dimension's 12 instances make one window, so each
+    # round decomposes one stack per dimension.
+    many = hermitian._jacobi_many
+    stacks = []
+
+    def counted(stack, want_vectors):
+        stacks.append(len(stack))
+        return many(stack, want_vectors)
+
+    monkeypatch.setattr(hermitian, "_jacobi_many", counted)
+    run_campaign(CampaignConfig.from_dict(BENCH_DEEP[0]), jobs=1)
+    assert sum(stacks) == 400 and len(stacks) <= 10, stacks
 
 
 def test_every_stacked_member_agrees_with_lapack(monkeypatch):

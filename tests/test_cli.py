@@ -186,6 +186,12 @@ def no_sampling(monkeypatch):
     (["--M", "inf"], "m, M: must be finite numbers"),
     (["--m=-inf"], "m, M: must be finite numbers"),
     (["--seed", "-1"], "seed: must be an integer >= 0, got -1"),
+    # f(m) = f(M): the other condition holds whatever sum relation is drawn.
+    (["--function", "const:c=2", "--relax", "cond-i-sum", "--budget", "32", "--seed", "0"],
+     "cond-i-sum cannot break the hypothesis: its f clause holds both ways"),
+    (["--theorem", "sq-quad", "--function", "const:c=-1", "--relax", "cond-ii-sum"],
+     "cond-ii-sum cannot break the hypothesis"),
+    (["--function", "pow:p=0", "--relax", "cond-ii-sum"], "cond-ii-sum cannot break the hypothesis"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])

@@ -114,20 +114,19 @@ def test_eigendecompose_many_fills_caches_with_serial_bytes():
         assert _same_bytes(matrix._eig.vectors, vec)
 
 
-def test_eigendecompose_many_splits_large_groups_evenly(monkeypatch):
-    sizes = []
+def test_eigendecompose_many_runs_one_stack_per_dimension(monkeypatch):
+    stacks = []
     kernel = herm._jacobi_many
 
     def recording(stack, want_vectors):
-        sizes.append(len(stack))
+        stacks.append((stack[0].shape[0], len(stack)))
         return kernel(stack, want_vectors)
 
     monkeypatch.setattr(herm, "_jacobi_many", recording)
     rng = np.random.default_rng(6)
-    count = 2 * herm.BATCH_MAX + 1
-    eigendecompose_many([HermitianMatrix(rng.normal(size=(2, 2))) for _ in range(count)])
-    assert sum(sizes) == count and len(sizes) == 3
-    assert max(sizes) <= herm.BATCH_MAX and max(sizes) - min(sizes) <= 1
+    dims = [2] * 65 + [3] * 40 + [2] * 5
+    eigendecompose_many([HermitianMatrix(rng.normal(size=(d, d))) for d in dims])
+    assert stacks == [(2, 70), (3, 40)]
 
 
 def test_eigendecompose_many_leaves_non_converging_members_unfilled(monkeypatch):
