@@ -8,7 +8,8 @@ Jacobi run, which yields eigenvalues and vectors together.
 
 The eigensolver is a cyclic Jacobi iteration for complex Hermitian input.
 It converges when the off-diagonal Frobenius norm drops below
-``JACOBI_CONV_TOL`` times the input norm, within a fixed sweep budget.
+``JACOBI_CONV_TOL`` times the input norm, within a fixed sweep budget; a
+stacked sum of squares decides that for every member at once.
 Self-contained and highly accurate at the dimensions this package targets
 (1 to 16); not tuned for anything larger.  Its rotation arithmetic is fixed
 operation for operation, because every pinned report digest depends on the
@@ -251,10 +252,15 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
     ``tests/jacobi_reference.py``, whichever members share its stack.
     Members rotate in cyclic p < q order, one vectorized update per pair;
     each keeps its own threshold and skip, a member whose (p, q) entry is
-    not above its skip sits that rotation out, and a converged member leaves
-    the stack at the first sweep that finds its off-diagonal norm below its
-    threshold, the members after it moving down in place.  A zero-norm or
-    1x1 member is its own diagonal.
+    not above its skip sits that rotation out, and a member converges at the
+    first sweep that finds its off-diagonal norm below its threshold: its
+    stacked sum of squared off-diagonal A entries is below threshold^2
+    (1 - 1e-9), or ``_off_norm`` says so for a sum within 1e-9 of threshold^2
+    or a threshold^2 that is NaN or outside [1e-280, 1e280].  Either sum of
+    2n(n - 1) non-negative squares is within 2n^2 u (6e-14 at n = 16) of
+    exact, so outside the band they agree.  A converged member leaves the
+    stack, the members after it moving down in place.  A zero-norm or 1x1
+    member is its own diagonal.
 
     Member m holds the columns of its ``[A; V]`` as rows ``work[m, j]``, so
     a column update is contiguous and a row update of A strided.  Two
@@ -282,32 +288,37 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
     ids = np.array([i for i, _ in live], dtype=np.intp)
     threshold = JACOBI_CONV_TOL * np.array(scales)
     skip = threshold / (2.0 * n)
+    sure = (threshold >= 1e-140) & (threshold <= 1e140)
+    band = np.where(sure, threshold, np.nan)[:, None] ** 2 * [1.0 - 1e-9, 1.0 + 1e-9]
+    off = np.repeat(1.0 - np.eye(n), 2, axis=1)  # A's off-diagonal in a float64 view
     work = np.zeros((ids.size, n, 2 * n if want_vectors else n), dtype=np.complex128)
     for m, (_, a) in enumerate(live):
         work[m, :, :n] = a.T
     if want_vectors:
         work[:, :, n:] = np.eye(n)
-    work_real, work_imag = work.real, work.imag
+    work_real, work_imag, parts = work.real, work.imag, work.view(np.float64)[:, :, :2 * n]
 
     for _ in range(JACOBI_SWEEP_BUDGET):
+        squares = np.einsum("mij,mij,ij->m", parts, parts, off)
+        below, above = squares < band[:, 0], squares > band[:, 1]
         kept = 0
         for m in range(ids.size):
             a = work[m, :, :n].T
-            if _off_norm(a) <= threshold[m]:
+            if below[m] or not above[m] and _off_norm(a) <= threshold[m]:
                 lam = np.diag(a).real.copy()
                 order = np.argsort(lam, kind="stable")
                 v = np.ascontiguousarray(work[m, :, n:].T[:, order]) if want_vectors else None
                 out[ids[m]] = (lam[order], v)
                 continue
             if kept < m:  # in place, so that one working array stays live
-                work[kept] = work[m]
-                ids[kept], threshold[kept], skip[kept] = ids[m], threshold[m], skip[m]
+                for per_member in (work, ids, threshold, skip, band):
+                    per_member[kept] = per_member[m]
             kept += 1
         if kept < ids.size:
             if not kept:
                 return out
-            ids, threshold, skip, work = ids[:kept], threshold[:kept], skip[:kept], work[:kept]
-            work_real, work_imag = work.real, work.imag
+            ids, threshold, skip, band, work = (x[:kept] for x in (ids, threshold, skip, band, work))
+            work_real, work_imag, parts = work.real, work.imag, work.view(np.float64)[:, :, :2 * n]
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = work[:, q, p]

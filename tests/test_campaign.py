@@ -248,7 +248,9 @@ def test_windows_split_each_dimension_for_the_workers(monkeypatch):
                                                cells((1, 0, 4), (3, 0, 4))]
     assert plan_windows(4, [8, 16, 8, 16], 2) == [cells((0, 0, 4)), cells((2, 0, 4)),
                                                   cells((1, 0, 4)), cells((3, 0, 4))]
-    # Over WINDOW: ceil(n / WINDOW) near-equal windows, a cell split across two.
+    # Over WINDOW (16 here): ceil(n / WINDOW) near-equal windows, a cell split
+    # across two.
+    monkeypatch.setattr(chains, "WINDOW", 16)
     assert plan_windows(20, [2, 1, 2]) == [cells((0, 0, 13)), cells((0, 13, 20), (2, 0, 6)),
                                            cells((2, 6, 20)), cells((1, 0, 10)),
                                            cells((1, 10, 20))]

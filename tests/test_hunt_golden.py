@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 import loewner_lab.chains as chains
+import loewner_lab.hermitian as hermitian
 from loewner_lab.chains import hunt_counterexample
 from loewner_lab.cli import main
 from loewner_lab.errors import HypothesisViolation
@@ -115,3 +116,22 @@ def test_a_hunt_that_fails_at_once_builds_one_window(monkeypatch):
                                      parse_function_spec("pow:p=-1"))
         assert (result.attempt_index, result.attempts) == (0, 1)
         assert len(built) == min(budget, chains.WINDOW)
+
+
+def test_hunt_soak_stacks_its_member_runs_in_full_windows(monkeypatch, capsys):
+    # The benchmark's hunt-soak pass at seed 3: its 7,200 Jacobi member runs
+    # stack into at most 300 kernel calls only when windows are full.
+    stacks = []
+    kernel = hermitian._jacobi_many
+
+    def recording(stack, want_vectors):
+        stacks.append(len(stack))
+        return kernel(stack, want_vectors)
+
+    monkeypatch.setattr(hermitian, "_jacobi_many", recording)
+    for flags in (["--theorem", "lc-quad", "--function", "exp"],
+                  ["--theorem", "sq-map", "--function", "pow:p=2", "--map", "mixed"]):
+        assert main(["hunt", *flags, "--budget", "300", "--seed", "3", "--dims", "1,2,3"]) == 0
+    capsys.readouterr()
+    assert sum(stacks) == 7200
+    assert len(stacks) <= 300

@@ -3,14 +3,20 @@
 Every pinned report digest depends on the last bits of the spectra, so the
 kernel, alone (``_jacobi``, a stack of one) and on every member of a stack
 (``_jacobi_many``), must return the same bytes as the reference loop in
-``jacobi_reference`` for eigenvalues and eigenvectors alike.
+``jacobi_reference`` for eigenvalues and eigenvectors alike.  That holds
+also where the kernel's stacked convergence test leaves a member to
+``_off_norm``, the reference's own test.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from jacobi_reference import reference_jacobi
 from loewner_lab import hermitian as herm
+from loewner_lab.campaign import CampaignConfig, run_campaign
+from test_campaign_golden import PINNED
 from loewner_lab.errors import NonConvergence
 from loewner_lab.hermitian import (
     HermitianMatrix,
@@ -99,6 +105,76 @@ def test_batched_kernel_matches_reference_bytes(dim, want_vectors):
         assert result is not None, (dim, index)
         assert _same_bytes(result[0], ref_lam), (dim, index, want_vectors)
         assert _same_bytes(result[1], ref_vec), (dim, index, want_vectors)
+
+
+def _band_stack(dim: int) -> list:
+    """Members whose off-diagonal norm sits at threshold x (1 -+ 1e-12), so
+    close that only ``_off_norm`` decides them, one with a NaN entry, and
+    members whose threshold^2 lies below 1e-280 or above 1e280, the last one
+    infinite."""
+    rng = np.random.default_rng([dim, 17])
+    stack = []
+    for factor in (1.0 - 1e-12, 1.0 + 1e-12):
+        a = np.diag(rng.normal(size=dim)).astype(np.complex128)
+        # One pair (0, dim - 1) = x, conj(x) with sqrt(2)|x| = r ||A||_F and
+        # ||A||_F^2 = ||diag||_F^2 + 2|x|^2, where r = JACOBI_CONV_TOL * factor.
+        r = herm.JACOBI_CONV_TOL * factor
+        x = r * np.linalg.norm(a) / np.sqrt(2.0 - 2.0 * r * r) * np.exp(1j * rng.uniform(0, 6))
+        a[0, dim - 1], a[dim - 1, 0] = x, np.conj(x)
+        stack.append(a)
+    nan = HermitianMatrix(rng.normal(size=(dim, dim))).entries.copy()
+    nan[0, dim - 1] = np.nan
+    g = HermitianMatrix(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))).entries
+    huge = 5e153 / np.linalg.norm(g) * g  # threshold 5e140, finite squares
+    vast = 1e160 * g  # its norm overflows: threshold inf
+    return stack + [nan, _mixed_stack(dim)[len(KINDS)], huge, vast]
+
+
+@pytest.fixture
+def off_norm_calls(monkeypatch) -> list:
+    """One entry per ``_off_norm`` call, the kernel's per-member fallback."""
+    calls = []
+    off_norm = herm._off_norm
+    monkeypatch.setattr(herm, "_off_norm", lambda a: calls.append(None) or off_norm(a))
+    return calls
+
+
+# The vast member's norm overflows in both loops, and the reference divides
+# by the NaN member's NaN entry.
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning",
+                            "ignore:invalid value encountered in scalar divide:RuntimeWarning")
+@pytest.mark.parametrize("want_vectors", [True, False])
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_stacked_convergence_test_leaves_close_calls_to_off_norm(dim, want_vectors,
+                                                                  off_norm_calls):
+    stack = _band_stack(dim)
+    results = herm._jacobi_many(stack, want_vectors)
+    assert off_norm_calls  # the band and the out-of-range members reach it
+    for index, (matrix, result) in enumerate(zip(stack, results)):
+        if index == 2:  # the NaN member never converges
+            assert result is None
+            with pytest.raises(NonConvergence):
+                reference_jacobi(matrix, want_vectors)
+            continue
+        ref_lam, ref_vec = reference_jacobi(matrix, want_vectors)
+        assert _same_bytes(result[0], ref_lam), (dim, index, want_vectors)
+        assert _same_bytes(result[1], ref_vec), (dim, index, want_vectors)
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_kernel_warns_on_no_stack_that_was_silent(dim):
+    stacks = [_mixed_stack(dim)] + ([_band_stack(dim)[:-1]] if dim > 1 else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack in stacks:
+            for want_vectors in (True, False):
+                herm._jacobi_many(stack, want_vectors)
+
+
+@pytest.mark.parametrize("name", ["deep", "wide"])
+def test_golden_campaigns_decide_convergence_without_off_norm(name, off_norm_calls):
+    run_campaign(CampaignConfig.from_dict(PINNED[name][0]), jobs=1)
+    assert not off_norm_calls
 
 
 def test_eigendecompose_many_fills_caches_with_serial_bytes():
