@@ -27,16 +27,10 @@ from functools import lru_cache, partial
 
 from . import __version__, chains
 from .errors import ConfigError, IoError, LoewnerLabError
-from .chains import (
-    Drawn,
-    needs_nonneg_instances,
-    resolve_theorem,
-    sample_instance_for,
-    window_outcomes,
-)
+from .chains import draw_steps, needs_nonneg_instances, resolve_theorem, window_outcomes
 from .functions import parse_function_spec
 from .hermitian import check_dims, check_int
-from .maps import check_map_spec, map_misfit, parse_family_spec, sample_map
+from .maps import map_misfit, parse_map_spec
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
 
@@ -81,7 +75,7 @@ class CampaignConfig:
 
     def validate(self) -> None:
         for name, parse in (("theorem_ids", resolve_theorem),
-                            ("function_specs", parse_function_spec), ("map_specs", check_map_spec)):
+                            ("function_specs", parse_function_spec), ("map_specs", parse_map_spec)):
             if not getattr(self, name):
                 raise ConfigError(f"{name}: must be non-empty")
             for entry in getattr(self, name):
@@ -185,28 +179,22 @@ class CampaignReport:
 
 
 def _cell_skip_reason(spec, f, map_spec: str, dim: int, ranges) -> str | None:
-    """Why the cell cannot run; map specs are already validated."""
+    """Why the cell cannot run, given its compatible (m, M) ranges; map
+    specs are already validated."""
     unmet = spec.unmet_function_class(f)
     if unmet == spec.required_class:
         return "function class mismatch"
     if unmet is not None:
         return f"function is not {unmet}"
     if spec.map_mode == "single":
-        if map_spec.startswith("family"):
-            return "needs a single map, not a family"
         misfit = map_misfit(map_spec, dim)
         if misfit is not None:
             return misfit
     elif spec.map_mode == "family" and not map_spec.startswith("family"):
         return "needs a map family"
-    if not _compatible_ranges(spec, f, ranges):
+    if not ranges:
         return "no compatible (m, M) range for this function"
     return None
-
-
-def _compatible_ranges(spec, f, ranges):
-    need_positive = needs_nonneg_instances(spec, f)
-    return [r for r in ranges if (not need_positive or r[0] > 0.0)]
 
 
 def _draw_mm(rng, lo: float, hi: float) -> tuple[float, float]:
@@ -226,22 +214,17 @@ def _plan_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
     f = parse_function_spec(f_spec)
     label = _NO_MAP_LABEL if spec.map_mode == "none" else map_spec
     header = CellResult(theorem=spec.id, function=f_spec, map_spec=label, dim=dim)
-    reason = _cell_skip_reason(spec, f, map_spec, dim, config.mm_ranges)
+    need_positive = needs_nonneg_instances(spec, f)
+    ranges = [r for r in config.mm_ranges if not need_positive or r[0] > 0.0]
+    reason = _cell_skip_reason(spec, f, map_spec, dim, ranges)
     if reason is not None:
         return replace(header, skipped=True, skip_reason=reason), None
-    ranges = _compatible_ranges(spec, f, config.mm_ranges)
-    family_size = parse_family_spec(map_spec) if spec.map_mode == "family" else 3
 
     def draw(i: int):
         rng = spawn_rng(config.seed, cell_index, i)
         lo, hi = ranges[i % len(ranges)]
         m, big_m = _draw_mm(rng, float(lo), float(hi))
-        inst = yield from sample_instance_for.steps(spec, f, dim, m, big_m, rng,
-                                                    family_size=family_size)
-        maps = None
-        if spec.map_mode == "single":
-            maps = yield from sample_map.steps(map_spec, dim, rng)
-        return Drawn(spec, f, inst, maps)
+        return draw_steps(spec, f, map_spec, dim, m, big_m, rng)
 
     return header, draw
 

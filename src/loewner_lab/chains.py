@@ -79,7 +79,7 @@ from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance
                         QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
                         sample_midpoint, sample_quadruple, sample_quadruple_family,
                         validate_instance)
-from .maps import MapFamily, PositiveUnitalMap, check_map_spec, map_misfit, sample_map
+from .maps import MapFamily, PositiveUnitalMap, map_misfit, parse_map_spec, sample_map
 from .seeding import spawn_rng
 
 RELAXATIONS = ("cond-i-f", "cond-i-sum", "cond-ii-f", "cond-ii-sum", "equal-sum")
@@ -789,7 +789,8 @@ def baseline_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
 
 
 # ---------------------------------------------------------------------------
-# Instance policy shared by the hunter and the campaign runner
+# Instance policy shared by the hunter and the campaign runner: each picks
+# the stream, dim, (m, M) and relation, and draws through ``draw_steps``
 # ---------------------------------------------------------------------------
 
 
@@ -831,6 +832,20 @@ class Drawn(NamedTuple):
     maps: object
 
 
+def draw_steps(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: int,
+               m: float, M: float, rng, *, relation: SumRelation | None = None):
+    """Steps to the ``Drawn`` of one instance: the instance, then a single-map
+    theorem's map, from the one stream ``rng``.  A family instance has the
+    spec's ``n`` members, 3 when the spec names none."""
+    family_size = parse_map_spec(map_spec)[1].get("n", 3)
+    inst = yield from sample_instance_for.steps(spec, f, dim, m, M, rng,
+                                                family_size=family_size, relation=relation)
+    maps = None
+    if spec.map_mode == "single":
+        maps = yield from sample_map.steps(map_spec, dim, rng)
+    return Drawn(spec, f, inst, maps)
+
+
 # A window runs at most this many instances, and so bounds its rounds' stacks
 # and the kernel's working array.  32 takes hunt-soak from 570 kernel calls to
 # 300 for +0.6 MB peak RSS (+1.4%); 48 costs +2.8-3.0% and 64 +3.9%.
@@ -851,7 +866,7 @@ def _outcome_steps(draw, tol: float, seed: int | None, relaxed: str | None):
 
 def window_outcomes(draws, tol: float, *, seed: int | None, relaxed: str | None = None) -> list:
     """The ChainReport, or the LoewnerLabError that stopped it, of the
-    instance each ``draw()`` steps to as a ``Drawn``, in order.
+    instance each ``draw()`` returns steps to (see ``draw_steps``), in order.
 
     The window runs every instance's draw, build and evaluation steps side
     by side in rounds (``hermitian.gather``), and decomposes what each round
@@ -916,19 +931,13 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
             misfit = map_misfit(map_spec, dim)
             if misfit is not None:
                 raise ConfigError(f"dims: map {map_spec!r} cannot act at dim {dim}: {misfit}")
-    else:  # unused, but a malformed spec is still an error, as in a campaign
-        check_map_spec(map_spec)
+    else:  # a malformed spec is an error, as in a campaign
+        parse_map_spec(map_spec)
     relations = _RELAX_RELATIONS.get(relaxation, (None,))
 
     def draw(attempt: int):
-        rng = spawn_rng(seed, attempt)
-        dim = dims[attempt % len(dims)]
-        inst = yield from sample_instance_for.steps(spec, f, dim, m, M, rng,
-                                                    relation=relations[attempt % len(relations)])
-        maps = None
-        if spec.map_mode == "single":
-            maps = yield from sample_map.steps(map_spec, dim, rng)
-        return Drawn(spec, f, inst, maps)
+        return draw_steps(spec, f, map_spec, dims[attempt % len(dims)], m, M,
+                          spawn_rng(seed, attempt), relation=relations[attempt % len(relations)])
 
     for start in range(0, budget, WINDOW):
         draws = [partial(draw, i) for i in range(start, min(start + WINDOW, budget))]

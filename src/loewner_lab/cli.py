@@ -19,7 +19,7 @@ from .errors import ConfigError, IoError, LoewnerLabError
 from .functions import parse_function_spec
 from .hermitian import DEFAULT_PSD_TOL, check_dims, check_int, check_tolerance
 from .instances import instance_from_dict
-from .maps import check_map_spec, sample_map
+from .maps import parse_map_spec, sample_map
 from .serialize import dumps_canonical
 
 
@@ -82,7 +82,7 @@ def _read_json(path, what: str):
 def _cmd_verify(args) -> int:
     check_tolerance(args.tol)
     check_int(args.seed, "seed")
-    check_map_spec(args.map)
+    parse_map_spec(args.map)
     spec = resolve_theorem(args.theorem)
     f = parse_function_spec(args.function)
     inst = instance_from_dict(_read_json(args.instance, "instance"))

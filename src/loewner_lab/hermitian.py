@@ -256,11 +256,11 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
     first sweep that finds its off-diagonal norm below its threshold: its
     stacked sum of squared off-diagonal A entries is below threshold^2
     (1 - 1e-9), or ``_off_norm`` says so for a sum within 1e-9 of threshold^2
-    or a threshold^2 that is NaN or outside [1e-280, 1e280].  Either sum of
-    2n(n - 1) non-negative squares is within 2n^2 u (6e-14 at n = 16) of
-    exact, so outside the band they agree.  A converged member leaves the
-    stack, the members after it moving down in place.  A zero-norm or 1x1
-    member is its own diagonal.
+    or a threshold^2 outside [1e-280, 1e280].  Either sum of 2n(n - 1)
+    non-negative squares is within 2n^2 u (6e-14 at n = 16) of exact, so
+    outside the band they agree.  A converged member leaves the stack, the
+    members after it moving down in place.  A zero-norm or 1x1 member is its
+    own diagonal, and a member whose norm is NaN or overflows is None.
 
     Member m holds the columns of its ``[A; V]`` as rows ``work[m, j]``, so
     a column update is contiguous and a row update of A strided.  Two
@@ -279,7 +279,7 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
         if n == 1 or scale == 0.0:
             lam = np.sort(np.diag(a).real.copy()) if n > 1 else np.array([a[0, 0].real])
             out[i] = lam, np.eye(n, dtype=np.complex128) if want_vectors else None
-        else:
+        elif math.isfinite(scale):
             scales.append(scale)
             live.append((i, a))
     if not live:
@@ -323,8 +323,6 @@ def _jacobi_many(stack, want_vectors: bool) -> list:
             for q in range(p + 1, n):
                 apq = work[:, q, p]
                 beta = np.hypot(apq.real, apq.imag)
-                # A NaN entry makes its member's threshold NaN, so that
-                # member never converges, whether it rotates or not.
                 busy = beta > skip
                 count = np.count_nonzero(busy)
                 if not count:

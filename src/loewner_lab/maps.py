@@ -7,8 +7,8 @@ sum w_j U_j A U_j*.  Together they exercise dimension change, block
 structure, and convex mixing.  Families are built from sub-unital members
 w_i * Phi_i with positive weights summing to one.
 
-Spec strings accepted by :func:`sample_map` and checked, without drawing
-anything, by :func:`parse_map_spec`:
+Map specs have one grammar, checked without drawing anything by
+:func:`parse_map_spec`.  Single maps, realized by :func:`sample_map`:
 
     "identity"
     "pinching"                      random block partition
@@ -18,7 +18,9 @@ anything, by :func:`parse_map_spec`:
     "mixed"                         two random unitaries
     "mixed:count=<int>"
 
-and for families, "family:n=<int>" via :func:`sample_map_family`.
+and families of n maps, realized by :func:`sample_map_family`:
+
+    "family:n=<int>"                n required
 """
 
 from __future__ import annotations
@@ -272,15 +274,15 @@ def _parse_params(tail: str, spec: str) -> dict:
     return params
 
 
-# Single-map kinds and the one parameter each accepts.
+# Map kinds and the one parameter each accepts; a family requires its n.
 _MAP_PARAMS = {"identity": None, "pinching": "blocks", "compression": "k",
-               "mixed": "count", "mixed-unitary": "count"}
+               "mixed": "count", "mixed-unitary": "count", "family": "n"}
 
 
 def parse_map_spec(spec: str) -> tuple[str, dict]:
-    """Check a single-map spec string without drawing anything.  Returns
-    the kind and its typed parameters: ``blocks`` as tuples of indices,
-    ``k`` and ``count`` as integers >= 1."""
+    """Check a single-map or family spec string without drawing anything.
+    Returns the kind and its typed parameters: ``blocks`` as tuples of
+    indices, ``k``, ``count`` and ``n`` as integers >= 1."""
     head, _, tail = str(spec).partition(":")
     if head not in _MAP_PARAMS:
         raise UnknownKind(f"unknown map kind {spec!r}")
@@ -298,6 +300,8 @@ def parse_map_spec(spec: str) -> tuple[str, dict]:
             raise SpecParseError(f"bad {key} in {spec!r}") from None
         if key != "blocks" and params[key] < 1:
             raise SpecParseError(f"{head} {key} must be >= 1, got {params[key]}")
+    if head == "family" and "n" not in params:
+        raise SpecParseError(f'"family" requires n=<int>: {spec!r}')
     return head, params
 
 
@@ -310,10 +314,13 @@ def _partition_misfit(blocks, dim: int) -> str | None:
 
 
 def map_misfit(spec: str, dim: int) -> str | None:
-    """Why the single-map ``spec`` cannot act on dim x dim matrices, or None
-    when it can.  Only an explicit compression ``k`` and explicit pinching
-    blocks depend on the dim."""
-    _, params = parse_map_spec(spec)
+    """Why ``spec`` is no single map that can act on dim x dim matrices, or
+    None when it is one.  A family spec never is; of the single maps, only
+    an explicit compression ``k`` and explicit pinching blocks depend on
+    the dim."""
+    head, params = parse_map_spec(spec)
+    if head == "family":
+        return "needs a single map, not a family"
     k = params.get("k", 1)
     if k > dim:
         return f"compression k={k} exceeds dim {dim}"
@@ -371,23 +378,9 @@ def _family_member_steps(dim: int, rng: np.random.Generator):
     return (yield from sample_map.steps(kinds[int(rng.integers(0, len(kinds)))], dim, rng))
 
 
-def check_map_spec(spec: str) -> None:
-    """Parse a single-map or family spec without drawing anything."""
-    (parse_family_spec if str(spec).startswith("family") else parse_map_spec)(spec)
-
-
 def parse_family_spec(spec: str) -> int:
-    """Extract n from "family:n=<int>"."""
-    head, _, tail = str(spec).partition(":")
+    """The n of a "family:n=<int>" spec."""
+    head, params = parse_map_spec(spec)
     if head != "family":
         raise SpecParseError(f"not a family spec: {spec!r}")
-    params = _parse_params(tail, spec)
-    if "n" not in params:
-        raise SpecParseError(f'"family" requires n=<int>: {spec!r}')
-    try:
-        n = int(params["n"])
-    except ValueError:
-        raise SpecParseError(f"bad n in {spec!r}") from None
-    if n < 1:
-        raise SpecParseError(f"family size must be >= 1: {spec!r}")
-    return n
+    return params["n"]

@@ -35,7 +35,8 @@ def reference_jacobi(matrix: np.ndarray, want_vectors: bool):
     # Elements this small cannot push the off-norm back above threshold.
     skip = threshold / (2.0 * n)
 
-    for _ in range(JACOBI_SWEEP_BUDGET):
+    # A NaN or overflowing norm gives no threshold to converge below.
+    for _ in range(JACOBI_SWEEP_BUDGET if math.isfinite(scale) else 0):
         off = _off_norm(a)
         if off <= threshold:
             lam = np.diag(a).real.copy()

@@ -168,6 +168,7 @@ def test_family_theorem_requires_family_spec():
 @pytest.mark.parametrize("map_spec, dim, reason", [
     ("compression:k=3", 2, "compression k=3 exceeds dim 2"),
     ("pinching:blocks=0|1", 3, "blocks ((0,), (1,)) are not a partition of 0..2"),
+    ("family:n=3", 2, "needs a single map, not a family"),
 ])
 def test_single_map_that_cannot_act_at_dim_skips_cell(map_spec, dim, reason):
     cfg = CampaignConfig.from_dict(small_config(

@@ -274,16 +274,16 @@ ONE_CELL = dict(GOLDEN_CONFIG, theorem_ids=["LC-QUAD"], dims=[5], instances_per_
 FOUR_CELLS = dict(GOLDEN_CONFIG, theorem_ids=["LC-QUAD"], dims=[2, 3, 4, 5], instances_per_cell=1)
 
 
-@pytest.mark.parametrize("module, target, config", [
-    (campaign, "sample_instance_for", ONE_CELL), (chains, "build_chain", ONE_CELL),
-    (campaign, "sample_instance_for", FOUR_CELLS), (chains, "build_chain", FOUR_CELLS),
+@pytest.mark.parametrize("target, config", [
+    ("sample_instance_for", ONE_CELL), ("build_chain", ONE_CELL),
+    ("sample_instance_for", FOUR_CELLS), ("build_chain", FOUR_CELLS),
 ], ids=["sample_instance_for", "build_chain", "sample_instance_for-cells", "build_chain-cells"])
-def test_error_in_one_instance_keeps_serial_fold(module, target, config, monkeypatch):
+def test_error_in_one_instance_keeps_serial_fold(target, config, monkeypatch):
     # An absurdly tight tolerance fails every chain, so each instance leaves
     # a digest in its cell's ``failing``; the second instance drawn raises
     # instead.
     cfg = CampaignConfig.from_dict(dict(config, tol=1e-30))
-    stage = getattr(module, target)
+    stage = getattr(chains, target)
     original = stage.steps
     calls = []
 
@@ -302,16 +302,15 @@ def test_error_in_one_instance_keeps_serial_fold(module, target, config, monkeyp
     assert [list(cell.failing) for cell in cells] == expected
 
 
-@pytest.mark.parametrize("module, target, dim_of", [
-    (campaign, "sample_instance_for", lambda args: args[2]),
-    (chains, "build_chain", lambda args: args[1].dim),
+@pytest.mark.parametrize("target, dim_of", [
+    ("sample_instance_for", lambda args: args[2]),
+    ("build_chain", lambda args: args[1].dim),
 ], ids=["sample_instance_for", "build_chain"])
-def test_error_in_one_instance_folds_the_same_at_jobs_2(module, target, dim_of, four_cores,
-                                                       monkeypatch):
+def test_error_in_one_instance_folds_the_same_at_jobs_2(target, dim_of, four_cores, monkeypatch):
     # The injection is keyed by the drawn instance, not by a call count, so
     # it raises in whichever process draws the dim-3 cell's instance.
     cfg = CampaignConfig.from_dict(dict(FOUR_CELLS, tol=1e-30))
-    stage = getattr(module, target)
+    stage = getattr(chains, target)
     original = stage.steps
 
     def dim_3_raises(*args, **kwargs):

@@ -449,6 +449,22 @@ def test_hunt_parses_the_map_spec_of_every_theorem(tid, monkeypatch):
         assert hunt_counterexample(tid, None, 1, 0, exp_function(), map_spec=spec) is None
 
 
+@pytest.mark.parametrize("tid, sampler", [("lc-multi", "sample_quadruple_family"),
+                                          ("lc-mercer", "sample_mercer_family")])
+@pytest.mark.parametrize("map_spec, size", [("family:n=2", 2), ("identity", 3)])
+def test_hunt_draws_families_of_the_map_spec_size(tid, sampler, map_spec, size, monkeypatch):
+    stage = getattr(chains, sampler)
+    original, sizes = stage.steps, []
+
+    def recording(n, *args, **kwargs):
+        sizes.append(n)
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(stage, "steps", recording)
+    assert hunt_counterexample(tid, None, 4, 0, exp_function(), map_spec=map_spec) is None
+    assert sizes == [size] * 4
+
+
 @pytest.mark.parametrize("tid, f_spec", [("LC-QUAD", "exp"), ("SQ-QUAD", "pow:p=2")])
 def test_build_decomposes_no_operand_twice(tid, f_spec, monkeypatch):
     # Validation and the condition (i)/(ii) check compare the same B+C and

@@ -192,6 +192,7 @@ def no_sampling(monkeypatch):
     (["--theorem", "sq-quad", "--function", "const:c=-1", "--relax", "cond-ii-sum"],
      "cond-ii-sum cannot break the hypothesis"),
     (["--function", "pow:p=0", "--relax", "cond-ii-sum"], "cond-ii-sum cannot break the hypothesis"),
+    (["--theorem", "lc-map", "--map", "family:n=3"], "needs a single map, not a family"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])

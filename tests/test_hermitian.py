@@ -8,6 +8,7 @@ import pytest
 from loewner_lab.errors import (
     DimensionMismatch,
     DomainViolation,
+    NonConvergence,
     NotHermitian,
 )
 from loewner_lab.functions import (
@@ -21,6 +22,7 @@ from loewner_lab.hermitian import (
     Relation,
     apply_scalar_function,
     eigendecompose,
+    eigenvalues_of,
     loewner_leq,
     positive_part,
     spectral_bounds,
@@ -78,6 +80,15 @@ def test_eigendecompose_nonconvergence_when_budget_exhausted(monkeypatch):
     monkeypatch.setattr(herm, "JACOBI_SWEEP_BUDGET", 0)
     with pytest.raises(NonConvergence):
         eigendecompose(HermitianMatrix([[0, 1], [1, 0]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("entry", [1e160, math.nan])
+def test_spectrum_of_a_matrix_whose_norm_is_not_finite_raises(entry):
+    # At 1e160 ||A||_F overflows, and an infinite threshold would pass the
+    # unrotated diagonal, [0, 0], off as the spectrum.
+    with pytest.raises(NonConvergence):
+        eigenvalues_of(HermitianMatrix([[0.0, entry], [entry, 0.0]]))
 
 
 def test_eigendecompose_matches_lapack():

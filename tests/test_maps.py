@@ -1,4 +1,6 @@
-"""Positive unital maps: application, verification, sampling."""
+"""Positive unital maps: application, verification, sampling, spec parsing."""
+
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from loewner_lab.maps import (
     IdentityMap,
     MixedUnitaryMap,
     PinchingMap,
+    map_misfit,
+    parse_map_spec,
     sample_map,
     sample_map_family,
     verify_unital,
@@ -67,6 +71,38 @@ def test_sample_map_unknown_kind():
         sample_map("hadamard", 2, 0)
     with pytest.raises(SpecParseError):
         sample_map("compression:k=9", 4, 0)
+    with pytest.raises(SpecParseError, match="needs a single map, not a family"):
+        sample_map("family:n=3", 4, 0)
+
+
+@pytest.mark.parametrize("spec, parsed", [
+    ("identity", ("identity", {})),
+    ("pinching:blocks=0,1|2", ("pinching", {"blocks": ((0, 1), (2,))})),
+    ("compression:k=2", ("compression", {"k": 2})),
+    ("mixed-unitary:count=3", ("mixed-unitary", {"count": 3})),
+    ("family:n=3", ("family", {"n": 3})),
+])
+def test_parse_map_spec_reads_single_maps_and_families(spec, parsed):
+    assert parse_map_spec(spec) == parsed
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    ("hadamard", UnknownKind, "unknown map kind 'hadamard'"),
+    ("compression:k=0", SpecParseError, "compression k must be >= 1, got 0"),
+    ("mixed:k=2", SpecParseError, "unknown parameter 'k' in 'mixed:k=2'"),
+    ("family", SpecParseError, "\"family\" requires n=<int>: 'family'"),
+    ("family:n=0", SpecParseError, "family n must be >= 1, got 0"),
+    ("family:n=x", SpecParseError, "bad n in 'family:n=x'"),
+    ("family:k=2", SpecParseError, "unknown parameter 'k' in 'family:k=2'"),
+])
+def test_parse_map_spec_rejects(spec, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_map_spec(spec)
+
+
+def test_map_misfit_names_a_family():
+    assert map_misfit("family:n=3", 2) == "needs a single map, not a family"
+    assert map_misfit("compression:k=2", 2) is None
 
 
 def test_sample_map_deterministic():
