@@ -27,10 +27,11 @@ from functools import lru_cache, partial
 
 from . import __version__, chains
 from .errors import ConfigError, IoError, LoewnerLabError
-from .chains import draw_steps, needs_nonneg_instances, resolve_theorem, window_outcomes
+from .chains import (compatible_ranges, draw_steps, input_misfit, resolve_theorem,
+                     window_outcomes)
 from .functions import parse_function_spec
 from .hermitian import check_dims, check_int
-from .maps import map_misfit, parse_map_spec
+from .maps import parse_map_spec
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
 
@@ -178,25 +179,6 @@ class CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-def _cell_skip_reason(spec, f, map_spec: str, dim: int, ranges) -> str | None:
-    """Why the cell cannot run, given its compatible (m, M) ranges; map
-    specs are already validated."""
-    unmet = spec.unmet_function_class(f)
-    if unmet == spec.required_class:
-        return "function class mismatch"
-    if unmet is not None:
-        return f"function is not {unmet}"
-    if spec.map_mode == "single":
-        misfit = map_misfit(map_spec, dim)
-        if misfit is not None:
-            return misfit
-    elif spec.map_mode == "family" and not map_spec.startswith("family"):
-        return "needs a map family"
-    if not ranges:
-        return "no compatible (m, M) range for this function"
-    return None
-
-
 def _draw_mm(rng, lo: float, hi: float) -> tuple[float, float]:
     """m in the lower 40% of the range, M at least 0.3 widths above it."""
     width = hi - lo
@@ -214,11 +196,10 @@ def _plan_cell(config: CampaignConfig, cell_index: int, theorem_id: str,
     f = parse_function_spec(f_spec)
     label = _NO_MAP_LABEL if spec.map_mode == "none" else map_spec
     header = CellResult(theorem=spec.id, function=f_spec, map_spec=label, dim=dim)
-    need_positive = needs_nonneg_instances(spec, f)
-    ranges = [r for r in config.mm_ranges if not need_positive or r[0] > 0.0]
-    reason = _cell_skip_reason(spec, f, map_spec, dim, ranges)
+    reason = input_misfit(spec, f, map_spec, dim, config.mm_ranges)
     if reason is not None:
         return replace(header, skipped=True, skip_reason=reason), None
+    ranges = compatible_ranges(spec, f, config.mm_ranges)
 
     def draw(i: int):
         rng = spawn_rng(config.seed, cell_index, i)

@@ -79,7 +79,7 @@ from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance
                         QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
                         sample_midpoint, sample_quadruple, sample_quadruple_family,
                         validate_instance)
-from .maps import MapFamily, PositiveUnitalMap, map_misfit, parse_map_spec, sample_map
+from .maps import PositiveUnitalMap, map_misfit, parse_map_spec, sample_map
 from .seeding import spawn_rng
 
 RELAXATIONS = ("cond-i-f", "cond-i-sum", "cond-ii-f", "cond-ii-sum", "equal-sum")
@@ -334,7 +334,6 @@ SHIFTS = ("mI-A", "D-MI")
 # (raw or mapped) and ``eye`` gives the identity of that space.
 _OPERANDS = {
     "B+C": lambda x, m, M, eye: x("B") + x("C"),
-    "W": lambda x, m, M, eye: 0.5 * (x("A") + x("D")),
     "(M+m)I-B": lambda x, m, M, eye: (M + m) * eye() - x("B"),
     "mI-A": lambda x, m, M, eye: m * eye() - x("A"),
     "D-MI": lambda x, m, M, eye: x("D") - M * eye(),
@@ -382,6 +381,8 @@ class _Evaluator:
         # Base name -> operator, per member; one member unless a family.
         if isinstance(inst, MercerInstance):
             self.members = [{"B": b} for b in inst.B_list]
+        elif isinstance(inst, MidpointInstance):  # W is the midpoint validation decomposed
+            self.members = [{"A": inst.A, "D": inst.D, "W": inst.midpoint}]
         else:
             self.members = [vars(q) for q in getattr(inst, "quadruples", [inst])]
         self.family = inst.family if spec.map_mode == "family" else None
@@ -405,7 +406,7 @@ class _Evaluator:
         return self.family.apply_sum(xs) if self.family is not None else self.phi.apply(xs[0])
 
     def _expr(self, name: str, x, dim: int) -> HermitianMatrix:
-        if name in ("A", "B", "C", "D"):
+        if name in ("A", "B", "C", "D", "W"):
             return x(name)
         return _OPERANDS[name](x, self.inst.m, self.inst.M, lambda: self._eye(dim))
 
@@ -746,8 +747,6 @@ def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
             raise ShapeMismatch(f"{spec.id} needs a single positive unital map")
         if maps.input_dim != inst.dim:
             raise ShapeMismatch(f"map expects dim {maps.input_dim}, instance has dim {inst.dim}")
-    if spec.map_mode == "family" and not isinstance(getattr(inst, "family", None), MapFamily):
-        raise ShapeMismatch(f"{spec.id} needs an instance carrying a map family")
 
 
 def _compile(spec: TheoremSpec, terms, name: str, instance, f, maps):
@@ -789,8 +788,9 @@ def baseline_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
 
 
 # ---------------------------------------------------------------------------
-# Instance policy shared by the hunter and the campaign runner: each picks
-# the stream, dim, (m, M) and relation, and draws through ``draw_steps``
+# Instance policy shared by the hunter and the campaign runner: each asks
+# ``input_misfit`` whether the theorem can run on its inputs, then picks the
+# stream, dim, (m, M) and relation, and draws through ``draw_steps``
 # ---------------------------------------------------------------------------
 
 
@@ -802,6 +802,34 @@ def condition_relation(f: FunctionDescriptor, m: float, M: float) -> SumRelation
 
 def needs_nonneg_instances(spec: TheoremSpec, f: FunctionDescriptor) -> bool:
     return spec.needs_nonneg or f.domain.lo >= 0.0
+
+
+def compatible_ranges(spec: TheoremSpec, f: FunctionDescriptor, ranges) -> list:
+    """The (m, M) ranges instances can be drawn on: those with m > 0 when
+    the instances must be non-negative."""
+    need_positive = needs_nonneg_instances(spec, f)
+    return [r for r in ranges if not need_positive or r[0] > 0.0]
+
+
+def input_misfit(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: int,
+                 ranges) -> str | None:
+    """Why the theorem cannot run on f and the map spec at dim with (m, M)
+    drawn from ``ranges``, or None when it can.  The map spec is parsed
+    whatever the theorem, so a malformed one raises."""
+    unmet = spec.unmet_function_class(f)
+    if unmet == spec.required_class:
+        return "function class mismatch"
+    if unmet is not None:
+        return f"function is not {unmet}"
+    if spec.map_mode == "single":
+        misfit = map_misfit(map_spec, dim)
+        if misfit is not None:
+            return misfit
+    elif parse_map_spec(map_spec)[0] != "family" and spec.map_mode == "family":
+        return "needs a map family"
+    if not compatible_ranges(spec, f, ranges):
+        return "no compatible (m, M) range for this function"
+    return None
 
 
 @stepwise
@@ -894,7 +922,7 @@ class HuntResult:
 
 
 def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
-                        f: FunctionDescriptor, *, map_spec: str = "identity",
+                        f: FunctionDescriptor, *, map_spec: str | None = None,
                         dims=(1, 2, 3), m: float = 1.0, M: float = 2.0,
                         tol: float = DEFAULT_PSD_TOL) -> HuntResult | None:
     """Sample up to ``budget`` instances violating only the named hypothesis
@@ -902,7 +930,8 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
 
     With ``relaxation=None`` the instances satisfy all hypotheses, so a
     non-None result would witness a bug rather than a sharp hypothesis.
-    Arguments are checked before anything is sampled.
+    ``map_spec`` None means "family:n=3" on a family theorem, else
+    "identity".  Arguments are checked before anything is sampled.
     """
     spec = resolve_theorem(theorem)
     _check_relaxation(spec, relaxation)
@@ -914,6 +943,14 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
         raise ConfigError(f"m, M: must be finite numbers, got m={m!r}, M={M!r}")
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
+    if map_spec is None:
+        map_spec = "family:n=3" if spec.map_mode == "family" else "identity"
+    dims = check_dims(dims)
+    for dim in dims:
+        misfit = input_misfit(spec, f, map_spec, dim, [(m, M)])
+        if misfit is not None:
+            raise ConfigError(f"{spec.id} cannot run on map {map_spec!r} at dim {dim} "
+                              f"with m={m!r}, M={M!r}: {misfit}")
     if relaxation in RELAXATIONS[:4]:  # its f clause must fail if dropped, hold if kept
         fm, fM = f(m), f(M)
         lo, hi = (fm, fM) if relaxation.startswith("cond-i-") else (fM, fm)
@@ -925,14 +962,6 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
             # f(m) ~ f(M), so every attempt would meet the other condition in full.
             raise HypothesisViolation(f"{relaxation} cannot break the hypothesis",
                                       f"its f clause holds both ways at f(m)={fm}, f(M)={fM}")
-    dims = check_dims(dims)
-    if spec.map_mode == "single":
-        for dim in dims:
-            misfit = map_misfit(map_spec, dim)
-            if misfit is not None:
-                raise ConfigError(f"dims: map {map_spec!r} cannot act at dim {dim}: {misfit}")
-    else:  # a malformed spec is an error, as in a campaign
-        parse_map_spec(map_spec)
     relations = _RELAX_RELATIONS.get(relaxation, (None,))
 
     def draw(attempt: int):

@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--function", required=True)
     p_hunt.add_argument("--budget", type=int, default=1000)
     p_hunt.add_argument("--seed", type=int, default=0)
-    p_hunt.add_argument("--map", default="identity")
+    p_hunt.add_argument("--map", default=None,
+                        help='map spec; default "family:n=3" on family theorems, else identity')
     p_hunt.add_argument("--dims", default="1,2,3", help="comma-separated dimensions to cycle")
     p_hunt.add_argument("--m", type=float, default=1.0)
     p_hunt.add_argument("--M", type=float, default=2.0)

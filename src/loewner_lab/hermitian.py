@@ -229,14 +229,18 @@ class LoewnerVerdict:
 
 def _jacobi(matrix: np.ndarray, want_vectors: bool):
     """``_jacobi_many`` on a stack of one: (eigenvalues ascending, vectors or
-    None).  Raises NonConvergence if the off-diagonal mass has not collapsed
-    within the sweep budget."""
+    None).  Raises NonConvergence on a norm that is not finite, or if the
+    off-diagonal mass has not collapsed within the sweep budget."""
     (result,) = _jacobi_many([matrix], want_vectors)
     if result is None:
         a = np.asarray(matrix, dtype=np.complex128)
+        norm = float(np.linalg.norm(a))
+        if not math.isfinite(norm):
+            raise NonConvergence(f"Frobenius norm is {norm} at dim {a.shape[0]}; no Jacobi "
+                                 "sweep ran")
         raise NonConvergence(
             f"Jacobi sweeps exhausted ({JACOBI_SWEEP_BUDGET}) at dim {a.shape[0]}; "
-            f"off-diagonal norm still above {JACOBI_CONV_TOL * float(np.linalg.norm(a)):.3e}"
+            f"off-diagonal norm still above {JACOBI_CONV_TOL * norm:.3e}"
         )
     return result
 

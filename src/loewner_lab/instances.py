@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +36,7 @@ from .hermitian import (
     spectral_bounds,
     stepwise,
 )
-from .maps import MapFamily, parse_family_spec, random_isometry, sample_map_family
+from .maps import MapFamily, parse_map_spec, random_isometry, sample_map_family
 from .seeding import as_generator
 from .serialize import digest
 
@@ -54,8 +54,26 @@ class SumRelation(enum.Enum):
     SUM_GEQ = "sum-geq"  # A + D <= B + C
 
 
+# How instance files hold a field, by its annotation (a string in this module):
+# matrices and member quadruples as their own objects, bounds as floats.
+_ENCODERS = {"HermitianMatrix": HermitianMatrix.to_dict, "float": float, "int": int,
+             "bool": bool, "tuple": lambda items: [it.to_dict() for it in items],
+             "SumRelation": lambda relation: relation.value}
+
+
 class _Instance:
     """Behaviour shared by every instance kind."""
+
+    def to_dict(self) -> dict:
+        """The instance file object, one key per field; a map family is
+        written as the ``family`` spec and ``family_seed`` it is realized from."""
+        out = {}
+        for fld in fields(self):
+            if fld.name == "family":
+                out["family"] = self.family_spec or f"family:n={self.size}"
+            elif fld.name != "family_spec":
+                out[fld.name] = _ENCODERS[fld.type](getattr(self, fld.name))
+        return out
 
     def digest(self) -> str:
         return digest(self.to_dict())
@@ -86,18 +104,14 @@ class _FamilyInstance(_Instance):
     family_spec: str = ""
     family_seed: int = 0
 
-    def _family_fields(self) -> dict:
-        return {"family": self.family_spec or f"family:n={self.size}",
-                "family_seed": int(self.family_seed)}
-
     @staticmethod
     def _family_from_dict(obj: dict, members: tuple, noun: str) -> dict:
         spec = obj.get("family", f"family:n={len(members)}")
         seed = check_int(obj.get("family_seed", 0), '"family_seed"', error=ShapeMismatch)
-        n = parse_family_spec(spec)
-        if n != len(members):
-            raise ShapeMismatch(f"family size {n} does not match {len(members)} {noun}")
-        return {"family": sample_map_family(n, members[0].dim, seed),
+        head, params = parse_map_spec(spec)
+        if head != "family" or params["n"] != len(members):
+            raise ShapeMismatch(f"family {spec!r} does not match {len(members)} {noun}")
+        return {"family": sample_map_family(len(members), members[0].dim, seed),
                 "family_spec": spec, "family_seed": seed}
 
     def _family_violations(self, noun: str) -> list[str]:
@@ -134,27 +148,15 @@ class QuadrupleInstance(_Instance):
     def dim(self) -> int:
         return self.A.dim
 
-    def to_dict(self) -> dict:
-        return {
-            "A": self.A.to_dict(),
-            "B": self.B.to_dict(),
-            "C": self.C.to_dict(),
-            "D": self.D.to_dict(),
-            "m": float(self.m),
-            "M": float(self.M),
-            "relation": self.relation.value,
-            "nonneg_A": self.nonneg_A,
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "QuadrupleInstance":
-        fields = _fields(obj, "A", "B", "C", "D")
+        parts = _fields(obj, "A", "B", "C", "D")
         relation = obj.get("relation", "equal-sum")
         try:
             relation = SumRelation(relation)
         except ValueError:
             raise ShapeMismatch(f"unknown sum relation {relation!r}") from None
-        return cls(**fields, relation=relation, nonneg_A=_flag(obj, "nonneg_A"))
+        return cls(**parts, relation=relation, nonneg_A=_flag(obj, "nonneg_A"))
 
     @cached_property
     def _sum_sides(self) -> tuple:
@@ -212,14 +214,6 @@ class MercerInstance(_FamilyInstance):
     def reflected(self, i: int) -> HermitianMatrix:
         return (self.M + self.m) * HermitianMatrix.identity(self.dim) - self.B_list[i]
 
-    def to_dict(self) -> dict:
-        return {
-            "B_list": [b.to_dict() for b in self.B_list],
-            "m": float(self.m),
-            "M": float(self.M),
-            **self._family_fields(),
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "MercerInstance":
         b_list = tuple(HermitianMatrix.from_dict(it) for it in _objects(obj, "B_list"))
@@ -255,15 +249,6 @@ class MidpointInstance(_Instance):
     def midpoint(self) -> HermitianMatrix:
         return 0.5 * (self.A + self.D)
 
-    def to_dict(self) -> dict:
-        return {
-            "A": self.A.to_dict(),
-            "D": self.D.to_dict(),
-            "m": float(self.m),
-            "M": float(self.M),
-            "nonneg_A": self.nonneg_A,
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "MidpointInstance":
         return cls(**_fields(obj, "A", "D"),
@@ -292,14 +277,6 @@ class MultiQuadrupleInstance(_FamilyInstance):
     def dim(self) -> int:
         return self.quadruples[0].dim
 
-    def to_dict(self) -> dict:
-        return {
-            "quadruples": [q.to_dict() for q in self.quadruples],
-            "m": float(self.m),
-            "M": float(self.M),
-            **self._family_fields(),
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "MultiQuadrupleInstance":
         quads = tuple(QuadrupleInstance.from_dict(it) for it in _objects(obj, "quadruples"))
@@ -313,7 +290,7 @@ class MultiQuadrupleInstance(_FamilyInstance):
             if q.relation is not SumRelation.EQUAL:
                 out.append(f"quadruple[{i}] relation is {q.relation.value}, expected equal-sum")
             out.extend(f"quadruple[{i}]: {v}" for v in violations)
-        if abs(self.m - self.quadruples[0].m) > 0 or abs(self.M - self.quadruples[0].M) > 0:
+        if any(q.m != self.m or q.M != self.M for q in self.quadruples):
             out.append("shared (m, M) differs from member quadruples")
         return out + self._family_violations("quadruples")
 

@@ -376,11 +376,3 @@ def sample_map_family(n: int, dim: int, seed) -> MapFamily:
 def _family_member_steps(dim: int, rng: np.random.Generator):
     kinds = ("identity", "pinching", "mixed", f"compression:k={dim}")
     return (yield from sample_map.steps(kinds[int(rng.integers(0, len(kinds)))], dim, rng))
-
-
-def parse_family_spec(spec: str) -> int:
-    """The n of a "family:n=<int>" spec."""
-    head, params = parse_map_spec(spec)
-    if head != "family":
-        raise SpecParseError(f"not a family spec: {spec!r}")
-    return params["n"]

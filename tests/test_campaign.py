@@ -1,6 +1,7 @@
 """Campaign runner: configuration, cell planning, determinism, reports."""
 
 import json
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,7 @@ from loewner_lab.campaign import (
     run_campaign,
 )
 from loewner_lab.errors import ConfigError, IoError
+from loewner_lab.functions import parse_function_spec
 from loewner_lab.serialize import dumps_canonical
 
 
@@ -187,6 +189,33 @@ def test_positive_domain_function_needs_positive_range():
     report = run_campaign(cfg)
     assert all(c.skipped for c in report.cells)
     assert "no compatible (m, M) range" in report.cells[0].skip_reason
+
+
+@pytest.mark.parametrize("theorem, f_spec, map_spec, dim, mm", [
+    ("lc-multi", "exp", "pinching", 2, [1.0, 2.0]),
+    ("lc-multi", "exp", "family:n=2", 2, [1.0, 2.0]),
+    ("lc-map", "exp", "compression:k=3", 2, [1.0, 2.0]),
+    ("lc-map", "exp", "family:n=2", 2, [1.0, 2.0]),
+    ("lc-quad", "pow:p=-1", "identity", 1, [0.0, 2.0]),
+    ("sq-quad", "pow:p=2", "identity", 2, [-0.5, 2.0]),
+    ("sq-quad", "pow:p=2", "identity", 2, [0.5, 2.0]),
+])
+def test_hunt_refuses_what_a_campaign_skips(theorem, f_spec, map_spec, dim, mm):
+    # One fit rule: a hunt on the cell's inputs raises the cell's skip
+    # reason, and runs when the cell runs.
+    cfg = CampaignConfig.from_dict(small_config(
+        theorem_ids=[theorem], function_specs=[f_spec], map_specs=[map_spec], dims=[dim],
+        mm_ranges=[mm], instances_per_cell=1,
+    ))
+    (cell,) = run_campaign(cfg).cells
+    hunt = partial(chains.hunt_counterexample, theorem, None, 2, 0, parse_function_spec(f_spec),
+                   map_spec=map_spec, dims=(dim,), m=mm[0], M=mm[1])
+    if cell.skipped:
+        with pytest.raises(ConfigError) as err:
+            hunt()
+        assert str(err.value).endswith(f": {cell.skip_reason}")
+    else:
+        assert hunt() is None
 
 
 def test_single_cell_exp_has_equality_links_near_zero_gap():

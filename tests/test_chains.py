@@ -418,7 +418,7 @@ def test_hunt_rejects_bad_dims_before_sampling(dims, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before rejecting the dims")
 
-    monkeypatch.setattr(chains, "sample_instance_for", refuse)
+    monkeypatch.setattr(chains, "draw_steps", refuse)
     with pytest.raises(ConfigError) as err:
         hunt_counterexample("lc-quad", None, 5, 0, exp_function(), dims=dims)
     assert "dims" in str(err.value)
@@ -429,7 +429,7 @@ def test_hunt_rejects_non_integer_budget_before_sampling(budget, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before rejecting the budget")
 
-    monkeypatch.setattr(chains, "sample_instance_for", refuse)
+    monkeypatch.setattr(chains, "draw_steps", refuse)
     with pytest.raises(ConfigError) as err:
         hunt_counterexample("lc-quad", None, budget, 0, exp_function())
     assert "budget" in str(err.value)
@@ -441,17 +441,21 @@ def test_hunt_parses_the_map_spec_of_every_theorem(tid, monkeypatch):
         raise AssertionError("sampled before rejecting the map spec")
 
     with monkeypatch.context() as patched:
-        patched.setattr(chains, "sample_instance_for", refuse)
+        patched.setattr(chains, "draw_steps", refuse)
         with pytest.raises(LoewnerLabError) as err:
             hunt_counterexample(tid, None, 2, 0, exp_function(), map_spec="bogus")
-    assert "bogus" in str(err.value)
-    for spec in ("identity", "family:n=3"):
+        assert "bogus" in str(err.value)
+        if tid == "lc-multi":  # a family theorem needs a family spec, as in a campaign
+            with pytest.raises(ConfigError, match="needs a map family"):
+                hunt_counterexample(tid, None, 2, 0, exp_function(), map_spec="identity")
+    specs = [None, "family:n=3"] if tid == "lc-multi" else [None, "identity", "family:n=3"]
+    for spec in specs:
         assert hunt_counterexample(tid, None, 1, 0, exp_function(), map_spec=spec) is None
 
 
 @pytest.mark.parametrize("tid, sampler", [("lc-multi", "sample_quadruple_family"),
                                           ("lc-mercer", "sample_mercer_family")])
-@pytest.mark.parametrize("map_spec, size", [("family:n=2", 2), ("identity", 3)])
+@pytest.mark.parametrize("map_spec, size", [("family:n=2", 2), (None, 3)])
 def test_hunt_draws_families_of_the_map_spec_size(tid, sampler, map_spec, size, monkeypatch):
     stage = getattr(chains, sampler)
     original, sizes = stage.steps, []
@@ -465,10 +469,12 @@ def test_hunt_draws_families_of_the_map_spec_size(tid, sampler, map_spec, size, 
     assert sizes == [size] * 4
 
 
-@pytest.mark.parametrize("tid, f_spec", [("LC-QUAD", "exp"), ("SQ-QUAD", "pow:p=2")])
+@pytest.mark.parametrize("tid, f_spec", [("LC-QUAD", "exp"), ("SQ-QUAD", "pow:p=2"),
+                                         ("LC-MID", "exp"), ("SQ-MID", "pow:p=2")])
 def test_build_decomposes_no_operand_twice(tid, f_spec, monkeypatch):
     # Validation and the condition (i)/(ii) check compare the same B+C and
-    # A+D, so their difference must be decomposed once, not once for each.
+    # A+D, so their difference must be decomposed once, not once for each;
+    # and the chain's W is the midpoint (A+D)/2 that validation decomposed.
     spec, f = THEOREMS[tid], parse_function_spec(f_spec)
     inst = sample_instance_for(spec, f, 4, 0.5, 2.0, spawn_rng(61, 2))
     operands = []

@@ -162,7 +162,7 @@ def no_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before rejecting the input")
 
-    monkeypatch.setattr(chains, "sample_instance_for", refuse)
+    monkeypatch.setattr(chains, "draw_steps", refuse)
     monkeypatch.setattr(cli, "sample_map", refuse)
 
 
@@ -193,6 +193,10 @@ def no_sampling(monkeypatch):
      "cond-ii-sum cannot break the hypothesis"),
     (["--function", "pow:p=0", "--relax", "cond-ii-sum"], "cond-ii-sum cannot break the hypothesis"),
     (["--theorem", "lc-map", "--map", "family:n=3"], "needs a single map, not a family"),
+    (["--function", "pow:p=-1", "--m", "0"], "no compatible (m, M) range for this function"),
+    (["--theorem", "sq-quad", "--function", "pow:p=2", "--m", "-0.5"],
+     "no compatible (m, M) range for this function"),
+    (["--theorem", "lc-multi", "--map", "pinching"], "needs a map family"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])
@@ -216,6 +220,28 @@ def test_verify_rejects_bad_arguments_before_sampling(flags, fragment, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert fragment in captured.err
+
+
+def test_verify_rejects_a_member_with_its_own_bounds(tmp_path, capsys):
+    # Member 1 holds for its own (m, M) = (0.5, 1.5) but not for the shared
+    # (1, 2).  Only member 0's bounds were compared, so the chain ran and
+    # failed (exit 1).
+    def quadruple(a, b, c, d, m, big_m):
+        return {"A": {"dim": 2, "re": [[a, 0.0], [0.0, a]]},
+                "B": {"dim": 2, "re": [[b, 0.0], [0.0, b]]},
+                "C": {"dim": 2, "re": [[c, 0.0], [0.0, c]]},
+                "D": {"dim": 2, "re": [[d, 0.0], [0.0, d]]},
+                "m": m, "M": big_m, "relation": "equal-sum"}
+
+    inst = {"quadruples": [quadruple(0.5, 1.2, 1.8, 2.5, 1.0, 2.0),
+                           quadruple(0.4, 0.6, 1.4, 1.6, 0.5, 1.5)],
+            "m": 1.0, "M": 2.0, "family": "family:n=2", "family_seed": 0}
+    path = write_json(tmp_path / "multi.json", inst)
+    rc = main(["verify", "--theorem", "lc-multi", "--instance", path, "--function", "exp"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shared (m, M) differs from member quadruples" in captured.err
 
 
 def test_verify_negative_tol_exit_2(tmp_path, no_sampling, capsys):

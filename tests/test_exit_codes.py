@@ -57,7 +57,7 @@ def _check(rc, out, says_fail):
 @CONTRACT
 @given(pair=st.sampled_from(FITTING), relax=st.sampled_from([None, *RELAXATIONS]),
        budget=st.integers(0, 6), seed=st.integers(0, 30),
-       map_spec=st.sampled_from(["identity", "mixed", "pinching", "compression"]),
+       map_spec=st.sampled_from(["identity", "mixed", "pinching", "compression", "family:n=2"]),
        dims=st.sampled_from(["1", "1,2", "2,3"]),
        mm=st.sampled_from([("1.0", "2.0"), ("0.5", "2.5")]),
        tol=st.sampled_from(["1e-9", "1e-30"]),

@@ -86,9 +86,12 @@ def test_eigendecompose_nonconvergence_when_budget_exhausted(monkeypatch):
 @pytest.mark.parametrize("entry", [1e160, math.nan])
 def test_spectrum_of_a_matrix_whose_norm_is_not_finite_raises(entry):
     # At 1e160 ||A||_F overflows, and an infinite threshold would pass the
-    # unrotated diagonal, [0, 0], off as the spectrum.
-    with pytest.raises(NonConvergence):
+    # unrotated diagonal, [0, 0], off as the spectrum.  No sweep runs, so
+    # the error names the norm, not the sweep budget.
+    with pytest.raises(NonConvergence) as err:
         eigenvalues_of(HermitianMatrix([[0.0, entry], [entry, 0.0]]))
+    norm = "nan" if math.isnan(entry) else "inf"
+    assert str(err.value) == f"Frobenius norm is {norm} at dim 2; no Jacobi sweep ran"
 
 
 def test_eigendecompose_matches_lapack():
