@@ -38,13 +38,15 @@ kind, function class, terms and optional power restriction, and the map
 mode, the sum hypothesis and A >= 0 follow from those (``TheoremSpec``).
 
 Drawing, building and evaluating are decomposition steps (see
-``hermitian.gather``): hypotheses request every spectrum validation reads,
-a build every operand a function is applied to, and evaluation every link
-difference, each in one round.  ``window_outcomes`` runs a window's
-instances side by side in rounds, so each round's requests are decomposed
-as same-dimension stacks.  Each drawn instance carries its own theorem and
-function, so a campaign window spans cells; a hunt runs its attempts in
-windows of ``WINDOW`` and reads their outcomes in attempt order.
+``hermitian.gather``).  A build requests every spectrum validation reads
+and every operand a function is applied to in one round, an evaluation
+every link difference in one, and a draw the instance's spectra and a
+single map's matrices in one, unless the instance draws in turn.
+``window_outcomes`` runs a window's instances side by side in rounds, so
+each round's requests are decomposed as same-dimension stacks.  Each drawn
+instance carries its own theorem and function, so a campaign window spans
+cells; a hunt runs its attempts in windows of ``WINDOW``, the first of half
+as many, and reads their outcomes in attempt order.
 
 Registry ids (case-insensitive):
 
@@ -68,13 +70,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .errors import (ConfigError, DegenerateInterval, HypothesisViolation, LoewnerLabError,
-                     ShapeMismatch, UnknownRelaxation, UnknownTheorem)
+from .errors import (ConfigError, DegenerateInterval, DimensionMismatch, HypothesisViolation,
+                     LoewnerLabError, ShapeMismatch, UnknownRelaxation, UnknownTheorem)
 from .functions import (CONVEX, LOG_CONVEX, SUPERQUADRATIC, FunctionDescriptor, Interval,
                         interpolation_constants, tilde_t)
 from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_scalar_function,
                         check_dims, check_int, check_tolerance, drive, gather, loewner_leq,
-                        spectral_bounds, stepwise)
+                        spectral_bounds, stepwise, with_first_request)
 from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
                         QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
                         sample_midpoint, sample_quadruple, sample_quadruple_family,
@@ -716,17 +718,28 @@ def resolve_theorem(theorem_id: str) -> TheoremSpec:
     return spec
 
 
-def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
-                      tol: float, relaxed: str | None):
-    """Steps that raise on the first unmet hypothesis.  Every spectrum read
-    here is one validation reads, so validation's round is the only one."""
+def _compile(spec: TheoremSpec, terms, name: str, inst, f, maps, tol: float,
+             relaxed: str | None):
+    """Steps to the chain of ``terms``, raising on the first unmet hypothesis:
+    the checks that read no spectrum, then validation, whose one round also
+    requests the operands a function is applied to, then the rest; then the fold."""
     check_tolerance(tol)
     if not isinstance(inst, spec.instance_kind):
         raise ShapeMismatch(f"{spec.id} expects a {spec.instance_kind.__name__}, "
                             f"got {type(inst).__name__}")
     if not inst.m < inst.M:
         raise DegenerateInterval(f"need m < M, got m={inst.m!r}, M={inst.M!r}")
-    violations = yield from validate_instance.steps(inst, tol)
+    if spec.map_mode == "single":
+        if not isinstance(maps, PositiveUnitalMap):
+            raise ShapeMismatch(f"{spec.id} needs a single positive unital map")
+        if maps.input_dim != inst.dim:
+            raise ShapeMismatch(f"map expects dim {maps.input_dim}, instance has dim {inst.dim}")
+    evaluator = _Evaluator(spec, inst, f, maps)
+    try:
+        operands = evaluator.operands(terms)
+    except DimensionMismatch:  # members of different dims; the fold raises it again
+        operands = []
+    violations = yield from with_first_request(validate_instance.steps(inst, tol), operands)
     if violations:
         raise HypothesisViolation("instance invariants", violations[0])
     _check_relaxation(spec, relaxed)
@@ -742,23 +755,11 @@ def _check_hypotheses(spec: TheoremSpec, inst, f: FunctionDescriptor, maps,
         _check_equal_sum(inst, tol, relaxed)
     elif spec.condition == "either-condition":
         _check_sum_condition(inst, f, tol, relaxed)
-    if spec.map_mode == "single":
-        if not isinstance(maps, PositiveUnitalMap):
-            raise ShapeMismatch(f"{spec.id} needs a single positive unital map")
-        if maps.input_dim != inst.dim:
-            raise ShapeMismatch(f"map expects dim {maps.input_dim}, instance has dim {inst.dim}")
-
-
-def _compile(spec: TheoremSpec, terms, name: str, instance, f, maps):
-    """Steps to the chain of ``terms``: one round requests every operand a
-    function is applied to, then the terms fold."""
-    evaluator = _Evaluator(spec, instance, f, maps)
-    yield evaluator.operands(terms)
     return ExpressionChain(
         theorem=name,
         terms=tuple(evaluator.fold(t.atoms) for t in terms),
         labels=tuple(t.label for t in terms),
-        instance=instance,
+        instance=inst,
     )
 
 
@@ -772,8 +773,7 @@ def build_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
     which is how the counterexample hunter probes necessity.
     """
     spec = resolve_theorem(theorem if isinstance(theorem, str) else theorem.id)
-    yield from _check_hypotheses(spec, instance, f, maps, tol, relaxed)
-    return (yield from _compile(spec, spec.terms, spec.id, instance, f, maps))
+    return (yield from _compile(spec, spec.terms, spec.id, instance, f, maps, tol, relaxed))
 
 
 @stepwise
@@ -782,9 +782,8 @@ def baseline_chain(theorem, instance, f: FunctionDescriptor, maps=None, *,
     """The two-term envelope of the theorem with every refinement stripped;
     the full chain passing implies this passes."""
     spec = resolve_theorem(theorem if isinstance(theorem, str) else theorem.id)
-    yield from _check_hypotheses(spec, instance, f, maps, tol, None)
     return (yield from _compile(spec, spec.baseline_terms, f"{spec.id}:baseline", instance, f,
-                                maps))
+                                maps, tol, None))
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +831,21 @@ def input_misfit(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: i
     return None
 
 
+def check_fit(spec: TheoremSpec, f: FunctionDescriptor, map_spec, dims, m: float, M: float) -> str:
+    """The map spec a hunt or ``verify`` runs on, "family:n=3" on a family
+    theorem and else "identity" if ``map_spec`` is None; raises unless f is
+    of the theorem's class and ``input_misfit`` passes every dim at (m, M)."""
+    _check_function_class(spec, f)
+    if map_spec is None:
+        map_spec = "family:n=3" if spec.map_mode == "family" else "identity"
+    for dim in dims:
+        misfit = input_misfit(spec, f, map_spec, dim, [(m, M)])
+        if misfit is not None:
+            raise ConfigError(f"{spec.id} cannot run on map {map_spec!r} at dim {dim} "
+                              f"with m={m!r}, M={M!r}: {misfit}")
+    return map_spec
+
+
 @stepwise
 def sample_instance_for(spec: TheoremSpec, f: FunctionDescriptor, dim: int,
                         m: float, M: float, rng, *, family_size: int = 3,
@@ -864,19 +878,22 @@ def draw_steps(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: int
                m: float, M: float, rng, *, relation: SumRelation | None = None):
     """Steps to the ``Drawn`` of one instance: the instance, then a single-map
     theorem's map, from the one stream ``rng``.  A family instance has the
-    spec's ``n`` members, 3 when the spec names none."""
+    spec's ``n`` members, 3 when the spec names none.  The map requests in
+    the instance's first round, or after a non-negative quadruple, the one
+    instance that draws after a request."""
     family_size = parse_map_spec(map_spec)[1].get("n", 3)
-    inst = yield from sample_instance_for.steps(spec, f, dim, m, M, rng,
-                                                family_size=family_size, relation=relation)
-    maps = None
-    if spec.map_mode == "single":
-        maps = yield from sample_map.steps(map_spec, dim, rng)
+    inst_steps = sample_instance_for.steps(spec, f, dim, m, M, rng, family_size=family_size,
+                                           relation=relation)
+    if spec.map_mode != "single":
+        return Drawn(spec, f, (yield from inst_steps), None)
+    inst, maps = yield from gather([inst_steps, sample_map.steps(map_spec, dim, rng)],
+                                   in_turn=needs_nonneg_instances(spec, f))
     return Drawn(spec, f, inst, maps)
 
 
-# A window runs at most this many instances, and so bounds its rounds' stacks
-# and the kernel's working array.  32 takes hunt-soak from 570 kernel calls to
-# 300 for +0.6 MB peak RSS (+1.4%); 48 costs +2.8-3.0% and 64 +3.9%.
+# A window runs at most this many instances (a hunt's first, half as many), and
+# so bounds its rounds' stacks and the kernel's working array.  32 took hunt-soak
+# from 570 kernel calls to 300 for +0.6 MB peak RSS (+1.4%); 48 cost +2.8-3.0%, 64 +3.9%.
 WINDOW = 32
 
 
@@ -897,11 +914,12 @@ def window_outcomes(draws, tol: float, *, seed: int | None, relaxed: str | None 
     instance each ``draw()`` returns steps to (see ``draw_steps``), in order.
 
     The window runs every instance's draw, build and evaluation steps side
-    by side in rounds (``hermitian.gather``), and decomposes what each round
-    requests as same-dimension stacks.  Each instance draws from its own
-    stream, values depend neither on the rounds nor on which instances share
-    a stack, and a matrix ``eigendecompose_many`` cannot finish raises when
-    it is read, so outcomes and errors are those of one instance at a time.
+    by side in rounds (``hermitian.gather``), at most one per stage unless
+    the draw runs in turn, and decomposes each round's requests as stacks of
+    one dimension.  Each instance draws from its own stream, values depend
+    neither on the rounds nor on which instances share a stack, and a
+    matrix ``eigendecompose_many`` cannot finish raises when it is read, so
+    outcomes and errors are those of one instance at a time.
     """
     return drive(gather([_outcome_steps(draw, tol, seed, relaxed) for draw in draws]))
 
@@ -930,12 +948,11 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
 
     With ``relaxation=None`` the instances satisfy all hypotheses, so a
     non-None result would witness a bug rather than a sharp hypothesis.
-    ``map_spec`` None means "family:n=3" on a family theorem, else
-    "identity".  Arguments are checked before anything is sampled.
+    ``map_spec`` None means the default of ``check_fit``.  Arguments are
+    checked before anything is sampled.
     """
     spec = resolve_theorem(theorem)
     _check_relaxation(spec, relaxation)
-    _check_function_class(spec, f)
     check_int(budget, "budget")
     check_int(seed, "seed")
     check_tolerance(tol)
@@ -943,14 +960,8 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
         raise ConfigError(f"m, M: must be finite numbers, got m={m!r}, M={M!r}")
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
-    if map_spec is None:
-        map_spec = "family:n=3" if spec.map_mode == "family" else "identity"
     dims = check_dims(dims)
-    for dim in dims:
-        misfit = input_misfit(spec, f, map_spec, dim, [(m, M)])
-        if misfit is not None:
-            raise ConfigError(f"{spec.id} cannot run on map {map_spec!r} at dim {dim} "
-                              f"with m={m!r}, M={M!r}: {misfit}")
+    map_spec = check_fit(spec, f, map_spec, dims, m, M)
     if relaxation in RELAXATIONS[:4]:  # its f clause must fail if dropped, hold if kept
         fm, fM = f(m), f(M)
         lo, hi = (fm, fM) if relaxation.startswith("cond-i-") else (fM, fm)
@@ -968,8 +979,9 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
         return draw_steps(spec, f, map_spec, dims[attempt % len(dims)], m, M,
                           spawn_rng(seed, attempt), relation=relations[attempt % len(relations)])
 
-    for start in range(0, budget, WINDOW):
-        draws = [partial(draw, i) for i in range(start, min(start + WINDOW, budget))]
+    bounds = [0, *range(WINDOW // 2, budget, WINDOW), budget]
+    for start, stop in zip(bounds, bounds[1:]):
+        draws = [partial(draw, i) for i in range(start, stop)]
         outcomes = window_outcomes(draws, tol, seed=seed, relaxed=relaxation)
         for attempt, outcome in enumerate(outcomes, start):
             if isinstance(outcome, LoewnerLabError):

@@ -14,12 +14,12 @@ import sys
 
 from . import __version__
 from .campaign import CampaignConfig, emit_report, run_campaign
-from .chains import build_chain, evaluate_chain, hunt_counterexample, resolve_theorem
+from .chains import build_chain, check_fit, evaluate_chain, hunt_counterexample, resolve_theorem
 from .errors import ConfigError, IoError, LoewnerLabError
 from .functions import parse_function_spec
 from .hermitian import DEFAULT_PSD_TOL, check_dims, check_int, check_tolerance
 from .instances import instance_from_dict
-from .maps import parse_map_spec, sample_map
+from .maps import sample_map
 from .serialize import dumps_canonical
 
 
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--theorem", required=True, help="theorem id, e.g. lc-quad")
     p_verify.add_argument("--instance", required=True, help="path to the instance JSON file")
     p_verify.add_argument("--function", required=True, help='function spec, e.g. "exp" or "pow:p=-1"')
-    p_verify.add_argument("--map", default="identity", help="map spec for single-map theorems")
+    p_verify.add_argument("--map", default=None, help="map spec for single-map theorems")
     p_verify.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL)
     p_verify.add_argument("--seed", type=int, default=0, help="seed for map realization")
 
@@ -83,13 +83,11 @@ def _read_json(path, what: str):
 def _cmd_verify(args) -> int:
     check_tolerance(args.tol)
     check_int(args.seed, "seed")
-    parse_map_spec(args.map)
     spec = resolve_theorem(args.theorem)
     f = parse_function_spec(args.function)
     inst = instance_from_dict(_read_json(args.instance, "instance"))
-    maps = None
-    if spec.map_mode == "single":
-        maps = sample_map(args.map, inst.dim, args.seed)
+    map_spec = check_fit(spec, f, args.map, [inst.dim], inst.m, inst.M)
+    maps = sample_map(map_spec, inst.dim, args.seed) if spec.map_mode == "single" else None
     chain = build_chain(spec.id, inst, f, maps, tol=args.tol)
     report = evaluate_chain(chain, args.tol, seed=args.seed)
     print(dumps_canonical(report.to_dict()))

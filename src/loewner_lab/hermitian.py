@@ -436,15 +436,20 @@ def stepwise(steps):
     return run
 
 
-def gather(steps):
+def gather(steps, in_turn: bool = False):
     """Steps that run ``steps`` side by side and return their results in
     order; an error raised in one of them is raised from here.
 
     Each round advances every unfinished step, in order, to its next request,
     and yields the requests of the round together.  Steps that draw from one
-    stream must draw nothing after their first request.
+    stream must draw nothing after their first request, or run ``in_turn``:
+    each to its end before the next starts.
     """
     results = [None] * len(steps)
+    if in_turn:
+        for i, step in enumerate(steps):
+            results[i] = yield from step
+        return results
     live = range(len(steps))
     while live:
         requests, running = [], []
@@ -458,6 +463,16 @@ def gather(steps):
             yield requests
         live = running
     return results
+
+
+def with_first_request(steps, extra):
+    """Steps that run ``steps``, adding ``extra`` to their first request if any."""
+    try:
+        request = next(steps)
+    except StopIteration as stop:
+        return stop.value
+    yield [*request, *extra]
+    return (yield from steps)
 
 
 def eigenvalues_of(matrix: HermitianMatrix) -> np.ndarray:

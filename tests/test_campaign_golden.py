@@ -350,13 +350,18 @@ BENCH_WIDE = [{
 }]
 
 
+# Kernel calls and member runs at jobs 1: a single map requests in its
+# instance's round and a build in validation's, so neither takes a round alone.
+BENCH_KERNEL = {"campaign-deep": (6, 400), "campaign-wide": (123, 2551)}
+
+
 @pytest.mark.parametrize("workload, configs", [("campaign-deep", BENCH_DEEP),
                                                ("campaign-wide", BENCH_WIDE)])
 def test_nine_in_ten_jacobi_runs_are_stacked(workload, configs, monkeypatch):
     # Every member run is a stack member: no matrix is read before a round
     # requested it, so the stack-of-one entry ``_jacobi`` never runs.
     serial, many = hermitian._jacobi, hermitian._jacobi_many
-    runs = {"serial": 0, "stacked": 0}
+    runs = {"serial": 0, "stacked": 0, "calls": 0}
     inside = []
 
     def counted_serial(matrix, want_vectors):
@@ -365,6 +370,7 @@ def test_nine_in_ten_jacobi_runs_are_stacked(workload, configs, monkeypatch):
 
     def counted_many(stack, want_vectors):
         runs["stacked"] += len(stack)
+        runs["calls"] += not inside
         inside.append(None)
         try:
             return many(stack, want_vectors)
@@ -381,12 +387,14 @@ def test_nine_in_ten_jacobi_runs_are_stacked(workload, configs, monkeypatch):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "perfbench", "digests.json"), encoding="utf-8") as fh:
         assert digest.hexdigest() == json.load(fh)[__version__][workload][3]
-    assert runs["serial"] == 0 and runs["stacked"] > 0, runs
+    calls, members = BENCH_KERNEL[workload]
+    assert runs == {"serial": 0, "stacked": members, "calls": calls}, runs
 
 
 def test_campaign_deep_runs_one_stack_per_dimension_and_round(monkeypatch):
     # At jobs 1 each dimension's 12 instances make one window, so each
-    # round decomposes one stack per dimension.
+    # round decomposes one stack per dimension: a draw, a build and an
+    # evaluation round at each of dims 8 and 16.
     many = hermitian._jacobi_many
     stacks = []
 
@@ -396,7 +404,7 @@ def test_campaign_deep_runs_one_stack_per_dimension_and_round(monkeypatch):
 
     monkeypatch.setattr(hermitian, "_jacobi_many", counted)
     run_campaign(CampaignConfig.from_dict(BENCH_DEEP[0]), jobs=1)
-    assert sum(stacks) == 400 and len(stacks) <= 10, stacks
+    assert sum(stacks) == 400 and len(stacks) == 6, stacks
 
 
 def test_every_stacked_member_agrees_with_lapack(monkeypatch):

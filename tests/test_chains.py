@@ -4,6 +4,7 @@ The 1x1 consistency tests compare every chain term against the plain-float
 reference in scalar_oracle, which shares no code with the package.
 """
 
+import dataclasses
 import math
 import zlib
 
@@ -16,6 +17,7 @@ import loewner_lab.hermitian as herm
 import loewner_lab.instances as instances
 from loewner_lab.errors import (
     ConfigError,
+    DimensionMismatch,
     HypothesisViolation,
     LoewnerLabError,
     ShapeMismatch,
@@ -54,7 +56,9 @@ from loewner_lab.instances import (
     QuadrupleInstance,
     SumRelation,
     sample_mercer_family,
+    sample_midpoint,
     sample_quadruple,
+    sample_quadruple_family,
 )
 from loewner_lab.maps import IdentityMap, sample_map
 from loewner_lab.seeding import spawn_rng
@@ -345,6 +349,47 @@ def test_shape_mismatch_instance_kind():
         build_chain("lc-mid", WORKED, exp_function())
 
 
+def test_a_structural_error_comes_before_validation():
+    # Each instance fails validation too: B+C and A+D differ in dim, or B
+    # lies below m.  The map check reads no spectrum and comes first.
+    quad = sample_quadruple(2, 1.0, 2.0, SumRelation.EQUAL, seed=1)
+    wide_a = dataclasses.replace(quad, A=HermitianMatrix(np.eye(3)))
+    with pytest.raises(ShapeMismatch, match="map expects dim 2, instance has dim 3"):
+        build_chain("lc-map", wide_a, exp_function(), IdentityMap(2))
+    out_of_bounds = dataclasses.replace(quad, m=1.9)
+    with pytest.raises(ShapeMismatch, match="map expects dim 3, instance has dim 2"):
+        baseline_chain("lc-map-v2", out_of_bounds, exp_function(), IdentityMap(3))
+
+
+@pytest.mark.parametrize("tid, f_spec", [("LC-QUAD", "exp"), ("LC-MAP", "exp"),
+                                         ("SQ-MAP", "pow:p=2")])
+def test_a_quadruple_of_mixed_dims_keeps_the_validation_error(tid, f_spec):
+    # Building D - MI would fail first, on "3 vs 2"; validation's own sum
+    # A + D fails, as it always did, on "2 vs 3".
+    quad = sample_quadruple(2, 1.0, 2.0, SumRelation.EQUAL, True, seed=1)
+    mixed = dataclasses.replace(quad, D=HermitianMatrix(4.0 * np.eye(3)))
+    with pytest.raises(DimensionMismatch, match="dimensions differ: 2 vs 3"):
+        build_chain(tid, mixed, parse_function_spec(f_spec), IdentityMap(2))
+
+
+_ONE_OF_EACH_KIND = (WORKED, sample_midpoint(1, 1.0, 2.0), sample_mercer_family(2, 1, 1.0, 2.0),
+                     sample_quadruple_family(2, 1, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_a_wrong_instance_kind_is_a_shape_mismatch(tid):
+    # The kind is checked before the operands are built from the fields
+    # the theorem's kind has, so no KeyError or AttributeError escapes.
+    spec = THEOREMS[tid]
+    kind = spec.instance_kind.__name__
+    for inst in _ONE_OF_EACH_KIND:
+        if isinstance(inst, spec.instance_kind):
+            continue
+        for build in (build_chain, baseline_chain):
+            with pytest.raises(ShapeMismatch, match=f"{tid} expects a {kind}"):
+                build(tid, inst, exp_function(), IdentityMap(1))
+
+
 def test_map_required():
     inst = sample_quadruple(2, 1.0, 2.0, SumRelation.EQUAL, seed=1)
     with pytest.raises(ShapeMismatch):
@@ -487,6 +532,38 @@ def test_build_decomposes_no_operand_twice(tid, f_spec, monkeypatch):
     monkeypatch.setattr(herm, "_jacobi_many", counting)
     build_chain(tid, inst, f)
     assert operands and len(operands) == len(set(operands))
+
+
+def _rounds(steps):
+    """The result of ``steps`` and how many rounds they requested in."""
+    rounds = 0
+    while True:
+        try:
+            herm.eigendecompose_many(next(steps))
+        except StopIteration as stop:
+            return stop.value, rounds
+        rounds += 1
+
+
+@pytest.mark.parametrize("tid, f_spec, map_spec", [
+    ("LC-MAP-V2", "exp", "mixed"), ("LC-MAP", "exp", "mixed:count=3"),
+    ("MOS-BASE", "exp", "compression"), ("LC-MAP", "pow:p=-1", "mixed"),
+    ("SQ-MAP", "pow:p=2", "mixed")])
+def test_a_draw_keeps_the_stream_order_of_the_instance_then_its_map(tid, f_spec, map_spec):
+    # Instance and map draw side by side in one round, or in turn after a
+    # non-negative quadruple, and either way give the bytes of drawing the
+    # instance first and then the map from the same stream.
+    spec, f = THEOREMS[tid], parse_function_spec(f_spec)
+    nonneg = chains.needs_nonneg_instances(spec, f)
+    for key in range(4):
+        drawn, rounds = _rounds(chains.draw_steps(spec, f, map_spec, 3, 0.5, 2.0,
+                                                  spawn_rng(74, key)))
+        rng = spawn_rng(74, key)
+        inst = sample_instance_for(spec, f, 3, 0.5, 2.0, rng)
+        phi = sample_map(map_spec, 3, rng)
+        assert drawn.instance.to_dict() == inst.to_dict()
+        assert drawn.maps.apply(inst.B).entries.tobytes() == phi.apply(inst.B).entries.tobytes()
+        assert nonneg or rounds == 1
 
 
 def test_hunt_deterministic():

@@ -7,7 +7,7 @@ import pytest
 import loewner_lab.chains as chains
 import loewner_lab.cli as cli
 from loewner_lab.cli import main
-from loewner_lab.instances import SumRelation, sample_quadruple
+from loewner_lab.instances import SumRelation, sample_quadruple, sample_quadruple_family
 
 
 WORKED_INSTANCE = {
@@ -313,6 +313,91 @@ def test_verify_rejects_malformed_instance_layout(payload, fragment, tmp_path, c
     assert rc == 2
     err = capsys.readouterr().err
     assert fragment in err and "unexpected" not in err
+
+
+def _family_file(tmp_path, mixed_dims=False, **fields):
+    """A two-member dim-2 quadruple family file; with ``mixed_dims`` its
+    second member is 3x3."""
+    payload = sample_quadruple_family(2, 2, 1.0, 2.0, seed=3).to_dict()
+    if mixed_dims:
+        payload["quadruples"][1] = sample_quadruple_family(2, 3, 1.0, 2.0, seed=3).to_dict()[
+            "quadruples"][1]
+    return write_json(tmp_path / "family.json", dict(payload, **fields))
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--map", "compression:k=9"],
+     "LC-MULTI cannot run on map 'compression:k=9' at dim 2 with m=1.0, M=2.0: "
+     "needs a map family"),
+    (["--map", "pinching"], "needs a map family"),
+])
+def test_verify_asks_the_fit_rule_on_a_family_file(flags, fragment, tmp_path, capsys):
+    # verify asks the fit rule that campaigns and hunts ask, so a single-map
+    # spec on a family theorem exits 2 before anything is built.
+    path = _family_file(tmp_path)
+    rc = main(["verify", "--theorem", "lc-multi", "--instance", path, "--function", "exp",
+               *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
+
+
+@pytest.mark.parametrize("flags", [[], ["--map", "family:n=2"]])
+def test_verify_runs_a_family_file_without_a_single_map(flags, tmp_path, capsys):
+    path = _family_file(tmp_path)
+    rc = main(["verify", "--theorem", "lc-multi", "--instance", path, "--function", "exp",
+               *flags])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("theorem, f_spec, flags, fragment", [
+    ("lc-map", "exp", ["--map", "compression:k=3"], "compression k=3 exceeds dim 2"),
+    ("lc-map", "exp", ["--map", "family:n=2"], "needs a single map, not a family"),
+    ("lc-quad", "pow:p=-1", [], "no compatible (m, M) range for this function"),
+])
+def test_verify_asks_the_fit_rule_on_a_quadruple_file(theorem, f_spec, flags, fragment,
+                                                      tmp_path, no_sampling, capsys):
+    quad = sample_quadruple(2, -0.5, 1.0, SumRelation.EQUAL, seed=3)
+    path = write_json(tmp_path / "q.json", quad.to_dict())
+    rc = main(["verify", "--theorem", theorem, "--instance", path, "--function", f_spec,
+               *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{theorem.upper()} cannot run on map" in captured.err
+    assert fragment in captured.err
+
+
+@pytest.mark.parametrize("flags, patch, fragment", [
+    (["--theorem", "lc-multi"], {}, "LC-MULTI expects a MultiQuadrupleInstance"),
+    (["--theorem", "lc-quad"], {"m": 3.0}, "need m < M"),
+    (["--theorem", "lc-quad", "--tol", "-1"], {}, "tol"),
+    (["--theorem", "lc-map", "--map", "compression:k=2"], {}, "compression k=2 exceeds dim 1"),
+])
+def test_verify_reports_a_structural_error_before_validation(flags, patch, fragment, tmp_path,
+                                                             capsys):
+    # The declared sum-geq relation does not hold, so validation fails too.
+    inst = dict(WORKED_INSTANCE, relation="sum-geq", **patch)
+    path = write_json(tmp_path / "bad.json", inst)
+    rc = main(["verify", "--instance", path, "--function", "exp", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "invariants" not in err
+
+
+@pytest.mark.parametrize("fields, fragment", [
+    ({}, "error: scaled map expects dim 2, got 3"),
+    ({"m": 0.9}, "error: instance invariants: shared (m, M) differs from member quadruples"),
+])
+def test_verify_on_members_of_different_dims_keeps_its_error(fields, fragment, tmp_path, capsys):
+    # A build requests its operands before validation has run, but an
+    # operand that cannot be built raises after every hypothesis is checked,
+    # so the error is the one validation or the build always gave.
+    path = _family_file(tmp_path, mixed_dims=True, **fields)
+    rc = main(["verify", "--theorem", "lc-multi", "--instance", path, "--function", "exp"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
 
 
 def test_campaign_config_array_with_seed_override_exit_2(tmp_path, capsys):
