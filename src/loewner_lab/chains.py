@@ -718,8 +718,7 @@ def resolve_theorem(theorem_id: str) -> TheoremSpec:
     return spec
 
 
-def _compile(spec: TheoremSpec, terms, name: str, inst, f, maps, tol: float,
-             relaxed: str | None):
+def _compile(spec: TheoremSpec, terms, name: str, inst, f, maps, tol: float, relaxed: str | None):
     """Steps to the chain of ``terms``, raising on the first unmet hypothesis:
     the checks that read no spectrum, then validation, whose one round also
     requests the operands a function is applied to, then the rest; then the fold."""
@@ -813,8 +812,8 @@ def compatible_ranges(spec: TheoremSpec, f: FunctionDescriptor, ranges) -> list:
 def input_misfit(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: int,
                  ranges) -> str | None:
     """Why the theorem cannot run on f and the map spec at dim with (m, M)
-    drawn from ``ranges``, or None when it can.  The map spec is parsed
-    whatever the theorem, so a malformed one raises."""
+    drawn from ``ranges``, None asking nothing of (m, M), or None when it can.
+    The map spec is parsed whatever the theorem, so a malformed one raises."""
     unmet = spec.unmet_function_class(f)
     if unmet == spec.required_class:
         return "function class mismatch"
@@ -826,20 +825,21 @@ def input_misfit(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: i
             return misfit
     elif parse_map_spec(map_spec)[0] != "family" and spec.map_mode == "family":
         return "needs a map family"
-    if not compatible_ranges(spec, f, ranges):
+    if ranges is not None and not compatible_ranges(spec, f, ranges):
         return "no compatible (m, M) range for this function"
     return None
 
 
-def check_fit(spec: TheoremSpec, f: FunctionDescriptor, map_spec, dims, m: float, M: float) -> str:
-    """The map spec a hunt or ``verify`` runs on, "family:n=3" on a family
-    theorem and else "identity" if ``map_spec`` is None; raises unless f is
-    of the theorem's class and ``input_misfit`` passes every dim at (m, M)."""
+def check_fit(spec: TheoremSpec, f: FunctionDescriptor, map_spec, dims, m: float, M: float,
+              *, drawn: bool) -> str:
+    """The map spec a hunt or ``verify`` runs on: ``map_spec``, or if None "family:n=3" on
+    a family theorem and else "identity".  Raises unless f is of the theorem's class and
+    ``input_misfit`` passes every dim, at (m, M) only if instances are ``drawn`` on it."""
     _check_function_class(spec, f)
     if map_spec is None:
         map_spec = "family:n=3" if spec.map_mode == "family" else "identity"
     for dim in dims:
-        misfit = input_misfit(spec, f, map_spec, dim, [(m, M)])
+        misfit = input_misfit(spec, f, map_spec, dim, [(m, M)] if drawn else None)
         if misfit is not None:
             raise ConfigError(f"{spec.id} cannot run on map {map_spec!r} at dim {dim} "
                               f"with m={m!r}, M={M!r}: {misfit}")
@@ -961,7 +961,7 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
     dims = check_dims(dims)
-    map_spec = check_fit(spec, f, map_spec, dims, m, M)
+    map_spec = check_fit(spec, f, map_spec, dims, m, M, drawn=True)
     if relaxation in RELAXATIONS[:4]:  # its f clause must fail if dropped, hold if kept
         fm, fM = f(m), f(M)
         lo, hi = (fm, fM) if relaxation.startswith("cond-i-") else (fM, fm)
@@ -979,7 +979,7 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
         return draw_steps(spec, f, map_spec, dims[attempt % len(dims)], m, M,
                           spawn_rng(seed, attempt), relation=relations[attempt % len(relations)])
 
-    bounds = [0, *range(WINDOW // 2, budget, WINDOW), budget]
+    bounds = [0, *range(WINDOW // 2, budget, WINDOW), budget]  # a hunt failing early ends sooner
     for start, stop in zip(bounds, bounds[1:]):
         draws = [partial(draw, i) for i in range(start, stop)]
         outcomes = window_outcomes(draws, tol, seed=seed, relaxed=relaxation)

@@ -86,7 +86,7 @@ def _cmd_verify(args) -> int:
     spec = resolve_theorem(args.theorem)
     f = parse_function_spec(args.function)
     inst = instance_from_dict(_read_json(args.instance, "instance"))
-    map_spec = check_fit(spec, f, args.map, [inst.dim], inst.m, inst.M)
+    map_spec = check_fit(spec, f, args.map, [inst.dim], inst.m, inst.M, drawn=False)
     maps = sample_map(map_spec, inst.dim, args.seed) if spec.map_mode == "single" else None
     chain = build_chain(spec.id, inst, f, maps, tol=args.tol)
     report = evaluate_chain(chain, args.tol, seed=args.seed)

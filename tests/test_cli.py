@@ -354,7 +354,6 @@ def test_verify_runs_a_family_file_without_a_single_map(flags, tmp_path, capsys)
 @pytest.mark.parametrize("theorem, f_spec, flags, fragment", [
     ("lc-map", "exp", ["--map", "compression:k=3"], "compression k=3 exceeds dim 2"),
     ("lc-map", "exp", ["--map", "family:n=2"], "needs a single map, not a family"),
-    ("lc-quad", "pow:p=-1", [], "no compatible (m, M) range for this function"),
 ])
 def test_verify_asks_the_fit_rule_on_a_quadruple_file(theorem, f_spec, flags, fragment,
                                                       tmp_path, no_sampling, capsys):
@@ -366,6 +365,26 @@ def test_verify_asks_the_fit_rule_on_a_quadruple_file(theorem, f_spec, flags, fr
     captured = capsys.readouterr()
     assert captured.out == "" and f"{theorem.upper()} cannot run on map" in captured.err
     assert fragment in captured.err
+
+
+def test_verify_runs_a_file_with_m_zero_where_instances_are_non_negative(tmp_path, capsys):
+    # m > 0 is what the non-negative sampler needs, not a hypothesis of the
+    # theorems, so verify leaves m to the build's own checks.
+    inst = dict(WORKED_INSTANCE, B={"dim": 1, "re": [[1.0]]}, C={"dim": 1, "re": [[1.0]]},
+                D={"dim": 1, "re": [[2.0]]}, m=0.0, M=2.0, relation="equal-sum")
+    path = write_json(tmp_path / "m0.json", inst)
+    rc = main(["verify", "--theorem", "sq-quad", "--instance", path, "--function", "pow:p=2"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_verify_leaves_a_negative_m_to_the_build(tmp_path, capsys):
+    quad = sample_quadruple(2, -0.5, 1.0, SumRelation.EQUAL, seed=3)
+    path = write_json(tmp_path / "q.json", quad.to_dict())
+    rc = main(["verify", "--theorem", "lc-quad", "--instance", path, "--function", "pow:p=-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: negative base -0.5 for power -1.0" in captured.err
 
 
 @pytest.mark.parametrize("flags, patch, fragment", [
