@@ -45,8 +45,8 @@ single map's matrices in one, unless the instance draws in turn.
 ``window_outcomes`` runs a window's instances side by side in rounds, so
 each round's requests are decomposed as same-dimension stacks.  Each drawn
 instance carries its own theorem and function, so a campaign window spans
-cells; a hunt runs its attempts in windows of ``WINDOW``, the first of half
-as many, and reads their outcomes in attempt order.
+cells; a hunt runs its attempts in windows of ``WINDOW`` and reads their
+outcomes in attempt order.
 
 Registry ids (case-insensitive):
 
@@ -891,9 +891,9 @@ def draw_steps(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: int
     return Drawn(spec, f, inst, maps)
 
 
-# A window runs at most this many instances (a hunt's first, half as many), and
-# so bounds its rounds' stacks and the kernel's working array.  32 took hunt-soak
-# from 570 kernel calls to 300 for +0.6 MB peak RSS (+1.4%); 48 cost +2.8-3.0%, 64 +3.9%.
+# A window runs at most this many instances, and so bounds its rounds' stacks and
+# the kernel's working array.  32 took hunt-soak from 570 kernel calls to 300 for
+# +0.6 MB peak RSS (+1.4%); 48 costs +2.8-3.0% and 64 +3.9%.
 WINDOW = 32
 
 
@@ -979,9 +979,8 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
         return draw_steps(spec, f, map_spec, dims[attempt % len(dims)], m, M,
                           spawn_rng(seed, attempt), relation=relations[attempt % len(relations)])
 
-    bounds = [0, *range(WINDOW // 2, budget, WINDOW), budget]  # a hunt failing early ends sooner
-    for start, stop in zip(bounds, bounds[1:]):
-        draws = [partial(draw, i) for i in range(start, stop)]
+    for start in range(0, budget, WINDOW):
+        draws = [partial(draw, i) for i in range(start, min(start + WINDOW, budget))]
         outcomes = window_outcomes(draws, tol, seed=seed, relaxed=relaxation)
         for attempt, outcome in enumerate(outcomes, start):
             if isinstance(outcome, LoewnerLabError):

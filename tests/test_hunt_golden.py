@@ -100,9 +100,8 @@ def test_budget_cuts_the_last_attempts(monkeypatch):
 
 
 def test_a_hunt_that_fails_at_once_builds_one_window(monkeypatch):
-    # Attempts run in windows of WINDOW after a first window of half as many,
-    # so a first attempt that fails is reported once that window,
-    # min(budget, WINDOW // 2) attempts, is built.
+    # Attempts run in windows of WINDOW, so a first attempt that fails is
+    # reported once its window, min(budget, WINDOW) attempts, is built.
     original = chains.build_chain.steps
     built = []
 
@@ -116,7 +115,7 @@ def test_a_hunt_that_fails_at_once_builds_one_window(monkeypatch):
         result = hunt_counterexample("lc-quad", "cond-i-f", budget, 7,
                                      parse_function_spec("pow:p=-1"))
         assert (result.attempt_index, result.attempts) == (0, 1)
-        assert len(built) == min(budget, chains.WINDOW // 2)
+        assert len(built) == min(budget, chains.WINDOW)
 
 
 def test_hunt_soak_stacks_its_member_runs_in_full_windows(monkeypatch, capsys):
