@@ -886,9 +886,10 @@ def draw_steps(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: int
                                            relation=relation)
     if spec.map_mode != "single":
         return Drawn(spec, f, (yield from inst_steps), None)
-    inst, maps = yield from gather([inst_steps, sample_map.steps(map_spec, dim, rng)],
-                                   in_turn=needs_nonneg_instances(spec, f))
-    return Drawn(spec, f, inst, maps)
+    map_steps = sample_map.steps(map_spec, dim, rng)
+    if needs_nonneg_instances(spec, f):
+        return Drawn(spec, f, (yield from inst_steps), (yield from map_steps))
+    return Drawn(spec, f, *(yield from gather([inst_steps, map_steps])))
 
 
 # A window runs at most this many instances, and so bounds its rounds' stacks and

@@ -436,20 +436,15 @@ def stepwise(steps):
     return run
 
 
-def gather(steps, in_turn: bool = False):
+def gather(steps):
     """Steps that run ``steps`` side by side and return their results in
     order; an error raised in one of them is raised from here.
 
     Each round advances every unfinished step, in order, to its next request,
     and yields the requests of the round together.  Steps that draw from one
-    stream must draw nothing after their first request, or run ``in_turn``:
-    each to its end before the next starts.
+    stream must draw nothing after their first request.
     """
     results = [None] * len(steps)
-    if in_turn:
-        for i, step in enumerate(steps):
-            results[i] = yield from step
-        return results
     live = range(len(steps))
     while live:
         requests, running = [], []

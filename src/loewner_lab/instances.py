@@ -490,5 +490,10 @@ def sample_quadruple_family(
     steps = [sample_quadruple.steps(dim, m, M, SumRelation.EQUAL, nonneg_A, rng)
              for _ in range(n)]
     steps.append(_family_steps(n, dim, rng))
-    drawn = yield from gather(steps, in_turn=nonneg_A)
+    if nonneg_A:
+        drawn = []
+        for step in steps:
+            drawn.append((yield from step))
+    else:
+        drawn = yield from gather(steps)
     return MultiQuadrupleInstance(quadruples=tuple(drawn[:-1]), m=m, M=M, **drawn[-1])
