@@ -812,8 +812,8 @@ def compatible_ranges(spec: TheoremSpec, f: FunctionDescriptor, ranges) -> list:
 def input_misfit(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: int,
                  ranges) -> str | None:
     """Why the theorem cannot run on f and the map spec at dim with (m, M)
-    drawn from ``ranges``, None asking nothing of (m, M), or None when it can.
-    The map spec is parsed whatever the theorem, so a malformed one raises."""
+    drawn from ``ranges``, or None when it can; ``ranges`` None asks nothing
+    of (m, M).  The map spec is parsed whatever the theorem, so a malformed one raises."""
     unmet = spec.unmet_function_class(f)
     if unmet == spec.required_class:
         return "function class mismatch"
