@@ -20,7 +20,6 @@ processes, largest first.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
@@ -30,7 +29,7 @@ from .errors import ConfigError, IoError, LoewnerLabError
 from .chains import (compatible_ranges, draw_steps, input_misfit, resolve_theorem,
                      window_outcomes)
 from .functions import parse_function_spec
-from .hermitian import check_dims, check_int
+from .hermitian import check_dims, check_int, check_tolerance, is_real
 from .maps import parse_map_spec
 from .seeding import spawn_rng
 from .serialize import dumps_canonical
@@ -89,11 +88,10 @@ class CampaignConfig:
             raise ConfigError("mm_ranges: must be non-empty")
         for r in self.mm_ranges:
             if (not isinstance(r, (list, tuple)) or len(r) != 2
-                    or not all(_is_real(x) for x in r) or r[0] >= r[1]):
+                    or not all(is_real(x) for x in r) or r[0] >= r[1]):
                 raise ConfigError(f"mm_ranges: each range must be [lo, hi] with lo < hi, got {r!r}")
         check_int(self.instances_per_cell, "instances_per_cell", 1)
-        if not _is_real(self.tol) or self.tol <= 0:
-            raise ConfigError(f"tol: must be a finite number > 0, got {self.tol!r}")
+        check_tolerance(self.tol)
         check_int(self.seed, "seed")
 
     def to_dict(self) -> dict:
@@ -107,10 +105,6 @@ class CampaignConfig:
             "tol": float(self.tol),
             "seed": int(self.seed),
         }
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _require_list(obj, key):

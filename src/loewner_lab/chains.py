@@ -74,14 +74,14 @@ from .errors import (ConfigError, DegenerateInterval, DimensionMismatch, Hypothe
                      LoewnerLabError, ShapeMismatch, UnknownRelaxation, UnknownTheorem)
 from .functions import (CONVEX, LOG_CONVEX, SUPERQUADRATIC, FunctionDescriptor, Interval,
                         interpolation_constants, tilde_t)
-from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, apply_scalar_function,
-                        check_dims, check_int, check_tolerance, drive, gather, loewner_leq,
-                        spectral_bounds, stepwise, with_first_request)
+from .hermitian import (DEFAULT_PSD_TOL, EQUALITY_TOL, HermitianMatrix, Relation,
+                        apply_scalar_function, check_dims, check_int, check_tolerance, drive,
+                        gather, loewner_leq, spectral_bounds, stepwise, with_first_request)
 from .instances import (MercerInstance, MidpointInstance, MultiQuadrupleInstance,
                         QuadrupleInstance, SumRelation, _FamilyInstance, sample_mercer_family,
                         sample_midpoint, sample_quadruple, sample_quadruple_family,
                         validate_instance)
-from .maps import PositiveUnitalMap, map_misfit, parse_map_spec, sample_map
+from .maps import PositiveUnitalMap, check_family, map_misfit, parse_map_spec, sample_map
 from .seeding import spawn_rng
 
 RELAXATIONS = ("cond-i-f", "cond-i-sum", "cond-ii-f", "cond-ii-sum", "equal-sum")
@@ -292,12 +292,11 @@ def _check_sum_condition(inst: QuadrupleInstance, f: FunctionDescriptor,
         raise HypothesisViolation(condition, detail)
 
 
-def _check_equal_sum(inst: QuadrupleInstance, tol: float, relaxed: str | None) -> None:
-    if relaxed == "equal-sum":
-        return
-    lhs, rhs, diff = inst._sum_sides
-    if diff.fro_norm > tol * max(1.0, lhs.fro_norm + rhs.fro_norm):
-        raise HypothesisViolation("A+D = B+C", f"difference norm {diff.fro_norm:.3e}")
+def _check_equal_sum(inst: QuadrupleInstance, tol: float) -> None:
+    """A+D = B+C as validation judges it, from the sum verdict it decomposed."""
+    if inst.sum_verdict(tol).relation is not Relation.EQUAL:
+        lo, hi = spectral_bounds(inst._sum_sides[2])
+        raise HypothesisViolation("A+D = B+C", f"spectrum of difference in [{lo!r}, {hi!r}]")
 
 
 def _check_nonneg(matrices, tol: float, what: str) -> None:
@@ -750,8 +749,8 @@ def _compile(spec: TheoremSpec, terms, name: str, inst, f, maps, tol: float, rel
             _check_nonneg([("A", inst.A)], tol, "A")
         elif isinstance(inst, MultiQuadrupleInstance):
             _check_nonneg([(f"A_{i}", q.A) for i, q in enumerate(inst.quadruples)], tol, "A_i")
-    if spec.condition == "equal-sum":
-        _check_equal_sum(inst, tol, relaxed)
+    if spec.condition == "equal-sum" and relaxed != "equal-sum":
+        _check_equal_sum(inst, tol)
     elif spec.condition == "either-condition":
         _check_sum_condition(inst, f, tol, relaxed)
     return ExpressionChain(
@@ -831,18 +830,23 @@ def input_misfit(spec: TheoremSpec, f: FunctionDescriptor, map_spec: str, dim: i
 
 
 def check_fit(spec: TheoremSpec, f: FunctionDescriptor, map_spec, dims, m: float, M: float,
-              *, drawn: bool) -> str:
-    """The map spec a hunt or ``verify`` runs on: ``map_spec``, or if None "family:n=3" on
-    a family theorem and else "identity".  Raises unless f is of the theorem's class and
-    ``input_misfit`` passes every dim, at (m, M) only if instances are ``drawn`` on it."""
+              *, instance=None) -> str:
+    """The map spec a hunt or ``verify`` runs on: ``map_spec``, or if None "identity", or on a
+    family theorem ``verify``'s ``instance``'s own family, else "family:n=3".  Raises unless f
+    fits the theorem's class, ``input_misfit`` passes every dim (asking (m, M) only with no
+    ``instance``, as a hunt draws on it), and an instance of a family theorem has n members."""
     _check_function_class(spec, f)
+    own_family = spec.map_mode == "family" and isinstance(instance, spec.instance_kind)
     if map_spec is None:
-        map_spec = "family:n=3" if spec.map_mode == "family" else "identity"
+        map_spec = ("identity" if spec.map_mode != "family" else
+                    f"family:n={instance.size}" if own_family else "family:n=3")
     for dim in dims:
-        misfit = input_misfit(spec, f, map_spec, dim, [(m, M)] if drawn else None)
+        misfit = input_misfit(spec, f, map_spec, dim, [(m, M)] if instance is None else None)
         if misfit is not None:
             raise ConfigError(f"{spec.id} cannot run on map {map_spec!r} at dim {dim} "
                               f"with m={m!r}, M={M!r}: {misfit}")
+    if own_family:
+        check_family(map_spec, instance.size)
     return map_spec
 
 
@@ -962,7 +966,7 @@ def hunt_counterexample(theorem, relaxation: str | None, budget: int, seed: int,
     if not m < M:
         raise DegenerateInterval(f"need m < M, got m={m!r}, M={M!r}")
     dims = check_dims(dims)
-    map_spec = check_fit(spec, f, map_spec, dims, m, M, drawn=True)
+    map_spec = check_fit(spec, f, map_spec, dims, m, M)
     if relaxation in RELAXATIONS[:4]:  # its f clause must fail if dropped, hold if kept
         fm, fM = f(m), f(M)
         lo, hi = (fm, fM) if relaxation.startswith("cond-i-") else (fM, fm)

@@ -76,8 +76,8 @@ def _read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {what} file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoError(f"{what} file is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise IoError(f"{what} file is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -86,7 +86,7 @@ def _cmd_verify(args) -> int:
     spec = resolve_theorem(args.theorem)
     f = parse_function_spec(args.function)
     inst = instance_from_dict(_read_json(args.instance, "instance"))
-    map_spec = check_fit(spec, f, args.map, [inst.dim], inst.m, inst.M, drawn=False)
+    map_spec = check_fit(spec, f, args.map, [inst.dim], inst.m, inst.M, instance=inst)
     maps = sample_map(map_spec, inst.dim, args.seed) if spec.map_mode == "single" else None
     chain = build_chain(spec.id, inst, f, maps, tol=args.tol)
     report = evaluate_chain(chain, args.tol, seed=args.seed)

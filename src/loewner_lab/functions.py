@@ -199,12 +199,8 @@ def parse_function_spec(spec: str) -> FunctionDescriptor:
             raise SpecParseError(f'"recip" takes no parameters: {spec!r}')
         return power_function(-1.0, spec_id="recip")
     if head == "pow":
-        if not tail:
-            raise SpecParseError(f'"pow" requires p=<real>: {spec!r}')
         return power_function(_single_param(spec, tail, "p"))
     if head == "const":
-        if not tail:
-            raise SpecParseError(f'"const" requires c=<real>: {spec!r}')
         return constant_function(_single_param(spec, tail, "c"))
     raise SpecParseError(f"unknown function id: {spec!r}")
 
@@ -214,9 +210,12 @@ def _single_param(spec: str, tail: str, name: str) -> float:
     if key != name or not sep:
         raise SpecParseError(f"expected {name}=<real> in {spec!r}")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise SpecParseError(f"bad numeric value in {spec!r}") from None
+    if not math.isfinite(number):
+        raise SpecParseError(f"{name} must be a finite number in {spec!r}")
+    return number
 
 
 # ---------------------------------------------------------------------------

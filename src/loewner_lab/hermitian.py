@@ -522,10 +522,15 @@ def spectral_bounds(matrix: HermitianMatrix) -> tuple[float, float]:
     return float(lam[0]), float(lam[-1])
 
 
+def is_real(x) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def check_tolerance(tol: float) -> None:
-    """A PSD tolerance must be a finite number >= 0."""
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"tol: must be a finite number >= 0, got {tol!r}")
+    """The one PSD tolerance rule, for configs, the CLI and the library: ``is_real``, > 0."""
+    if not is_real(tol) or tol <= 0:
+        raise ConfigError(f"tol: must be a finite number > 0, got {tol!r}")
 
 
 def check_int(value, name: str, least: int = 0, error=ConfigError) -> int:

@@ -19,7 +19,6 @@ it, after every draw that does not depend on it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -27,22 +26,22 @@ import numpy as np
 
 from .errors import DegenerateInterval, ExhaustedRetries, ShapeMismatch
 from .hermitian import (
+    DEFAULT_PSD_TOL,
     HermitianMatrix,
     Relation,
     check_int,
     gather,
+    is_real,
     loewner_leq,
     positive_part,
     spectral_bounds,
     stepwise,
 )
-from .maps import MapFamily, parse_map_spec, random_isometry, sample_map_family
+from .maps import UNIT_SUM_TOL, MapFamily, check_family, random_isometry, sample_map_family
 from .seeding import as_generator
 from .serialize import digest
 
 MAX_RETRIES = 1000
-# A family's unit images must sum to I within this Frobenius distance.
-UNIT_SUM_TOL = 1e-12
 # Spread of A below m and D above M as a share of M - m: a quarter interval
 # width keeps chain gaps well-scaled.
 SHIFT_SHARE = 0.25
@@ -105,12 +104,10 @@ class _FamilyInstance(_Instance):
     family_seed: int = 0
 
     @staticmethod
-    def _family_from_dict(obj: dict, members: tuple, noun: str) -> dict:
+    def _family_from_dict(obj: dict, members: tuple) -> dict:
         spec = obj.get("family", f"family:n={len(members)}")
         seed = check_int(obj.get("family_seed", 0), '"family_seed"', error=ShapeMismatch)
-        head, params = parse_map_spec(spec)
-        if head != "family" or params["n"] != len(members):
-            raise ShapeMismatch(f"family {spec!r} does not match {len(members)} {noun}")
+        check_family(spec, len(members), error=ShapeMismatch)
         return {"family": sample_map_family(len(members), members[0].dim, seed),
                 "family_spec": spec, "family_seed": seed}
 
@@ -218,7 +215,7 @@ class MercerInstance(_FamilyInstance):
     def from_dict(cls, obj: dict) -> "MercerInstance":
         b_list = tuple(HermitianMatrix.from_dict(it) for it in _objects(obj, "B_list"))
         return cls(B_list=b_list, **_fields(obj),
-                   **cls._family_from_dict(obj, b_list, "operators"))
+                   **cls._family_from_dict(obj, b_list))
 
     def _violations(self, tol: float):
         yield self.B_list
@@ -281,7 +278,7 @@ class MultiQuadrupleInstance(_FamilyInstance):
     def from_dict(cls, obj: dict) -> "MultiQuadrupleInstance":
         quads = tuple(QuadrupleInstance.from_dict(it) for it in _objects(obj, "quadruples"))
         return cls(quadruples=quads, **_fields(obj),
-                   **cls._family_from_dict(obj, quads, "quadruples"))
+                   **cls._family_from_dict(obj, quads))
 
     def _violations(self, tol: float):
         found = yield from gather([q._violations(tol) for q in self.quadruples])
@@ -296,7 +293,7 @@ class MultiQuadrupleInstance(_FamilyInstance):
 
 
 @stepwise
-def validate_instance(inst, tol: float = 1e-10) -> list[str]:
+def validate_instance(inst, tol: float = DEFAULT_PSD_TOL) -> list[str]:
     """Check every invariant of the instance numerically.
 
     Returns a list of violation strings (empty means valid); each names the
@@ -315,7 +312,7 @@ def _fields(obj, *keys: str) -> dict:
     and its matrices named by ``keys``."""
     for key in ("m", "M"):
         v = obj.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not is_real(v):
             raise ShapeMismatch(f'"{key}": must be a finite number, got {v!r}')
     missing = [key for key in keys if key not in obj]
     if missing:

@@ -29,10 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SpecParseError, UnknownKind
+from .errors import ConfigError, DimensionMismatch, SpecParseError, UnknownKind
 from .hermitian import (HermitianMatrix, eigendecompose, eigendecompose_many, eigenvalues_of,
                         gather, stepwise)
 from .seeding import as_generator
+
+# A unital map's Phi(I), or a family's sum of unit images, is I within this Frobenius distance.
+UNIT_SUM_TOL = 1e-12
 
 
 class PositiveUnitalMap:
@@ -197,7 +200,7 @@ class UnitalityReport:
 def verify_unital(phi: PositiveUnitalMap, samples: int, seed) -> UnitalityReport:
     """Check Phi(I) = I, linearity, and positivity on random inputs.
 
-    Unitality must hold within 1e-12 in Frobenius norm; linearity and
+    Unitality must hold within ``UNIT_SUM_TOL`` in Frobenius norm; linearity and
     positivity are checked on ``samples`` random Hermitian / PSD inputs with
     tolerances relative to the sample scale.
     """
@@ -225,7 +228,7 @@ def verify_unital(phi: PositiveUnitalMap, samples: int, seed) -> UnitalityReport
     pos_min = 0.0
     for psd, image in positivity:
         pos_min = min(pos_min, float(eigenvalues_of(image)[0]) / max(1.0, psd.fro_norm))
-    ok = unital_dev <= 1e-12 and lin_dev <= 1e-12 and pos_min >= -1e-12
+    ok = unital_dev <= UNIT_SUM_TOL and lin_dev <= 1e-12 and pos_min >= -1e-12
     return UnitalityReport(
         passed=ok,
         unital_deviation=unital_dev,
@@ -325,6 +328,13 @@ def map_misfit(spec: str, dim: int) -> str | None:
     if k > dim:
         return f"compression k={k} exceeds dim {dim}"
     return _partition_misfit(params["blocks"], dim) if "blocks" in params else None
+
+
+def check_family(spec: str, size: int, error=ConfigError) -> None:
+    """The one rule that a family spec has a map per member of a ``size``-member instance."""
+    head, params = parse_map_spec(spec)
+    if head != "family" or params["n"] != size:
+        raise error(f"family {spec!r} does not match {size} members")
 
 
 @stepwise

@@ -65,6 +65,8 @@ def test_config_roundtrip_and_validation():
         ({"theorem_ids": []}, "theorem_ids: must be non-empty"),
         ({"function_specs": []}, "function_specs: must be non-empty"),
         ({"map_specs": []}, "map_specs: must be non-empty"),
+        ({"function_specs": ["exp:a=nan"]}, "function_specs: a must be a finite number"),
+        ({"function_specs": ["pow:p=1e400"]}, "function_specs: p must be a finite number"),
     ],
 )
 def test_config_rejects_bad_values(patch, fragment):

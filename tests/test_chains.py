@@ -403,6 +403,29 @@ def test_equal_sum_hypothesis_enforced():
     assert "A+D = B+C" in str(err.value)
 
 
+def test_equal_sum_hypothesis_reads_the_validation_verdict():
+    # D off by 0.9 of the effective tolerance on each eigenvalue: validation
+    # judges the sums equal, and so does the build, though the difference's
+    # Frobenius norm exceeds that tolerance.
+    inst = sample_quadruple(4, 1.0, 2.0, SumRelation.EQUAL, seed=3)
+    lhs, rhs, _ = inst._sum_sides
+    eff = herm.DEFAULT_PSD_TOL * max(1.0, lhs.fro_norm + rhs.fro_norm)
+    inst = dataclasses.replace(inst, D=inst.D + 0.9 * eff * herm.HermitianMatrix.identity(4))
+    assert instances.validate_instance(inst) == []
+    assert (inst.D - inst.B - inst.C + inst.A).fro_norm > eff
+    build_chain("LC-MAP", inst, exp_function(), IdentityMap(4))
+
+
+@pytest.mark.parametrize("tol", [0.0, True, math.inf, "1e-9"])
+@pytest.mark.parametrize("call", [
+    lambda tol: build_chain("lc-quad", WORKED, exp_function(), tol=tol),
+    lambda tol: hunt_counterexample("lc-quad", None, 1, 0, exp_function(), tol=tol),
+], ids=["build_chain", "hunt"])
+def test_tolerance_must_be_a_finite_number_above_zero(call, tol):
+    with pytest.raises(ConfigError, match="tol: must be a finite number > 0"):
+        call(tol)
+
+
 def test_condition_hypothesis_enforced():
     # decreasing f with a sum-leq instance satisfies neither condition
     inst = sample_quadruple(1, 1.0, 2.0, SumRelation.SUM_LEQ, nonneg_A=True, seed=3)

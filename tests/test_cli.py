@@ -93,6 +93,19 @@ def test_verify_missing_file_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--theorem", "lc-quad", "--function", "exp", "--instance"],
+    ["campaign", "--out", "r.json", "--config"],
+])
+def test_non_utf8_input_file_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    rc = main([*command, str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "file is not valid UTF-8 JSON" in err and "unexpected" not in err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["verify"]) == 2
     assert main(["frobnicate"]) == 2
@@ -197,6 +210,8 @@ def no_sampling(monkeypatch):
     (["--theorem", "sq-quad", "--function", "pow:p=2", "--m", "-0.5"],
      "no compatible (m, M) range for this function"),
     (["--theorem", "lc-multi", "--map", "pinching"], "needs a map family"),
+    (["--tol", "0"], "tol: must be a finite number > 0, got 0.0"),
+    (["--function", "exp:a=nan"], "a must be a finite number in 'exp:a=nan'"),
 ])
 def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling, capsys):
     rc = main(["hunt", "--theorem", "lc-quad", "--function", "exp", *flags])
@@ -211,6 +226,7 @@ def test_hunt_rejects_bad_arguments_before_sampling(flags, fragment, no_sampling
     (["--theorem", "lc-map", "--map", "mixed", "--seed", "-1"], "seed: must be an integer >= 0"),
     (["--theorem", "lc-quad", "--map", "bogus"], "bogus"),
     (["--theorem", "lc-map", "--map", "compression:k=two"], "compression:k=two"),
+    (["--theorem", "lc-quad", "--tol", "0"], "tol: must be a finite number > 0, got 0.0"),
 ])
 def test_verify_rejects_bad_arguments_before_sampling(flags, fragment, tmp_path, no_sampling,
                                                       capsys):
@@ -330,6 +346,8 @@ def _family_file(tmp_path, mixed_dims=False, **fields):
      "LC-MULTI cannot run on map 'compression:k=9' at dim 2 with m=1.0, M=2.0: "
      "needs a map family"),
     (["--map", "pinching"], "needs a map family"),
+    (["--map", "family:n=5"], "family:n=5' does not match 2 members"),
+    (["--map", "family:n=3"], "family:n=3' does not match 2 members"),
 ])
 def test_verify_asks_the_fit_rule_on_a_family_file(flags, fragment, tmp_path, capsys):
     # verify asks the fit rule that campaigns and hunts ask, so a single-map
